@@ -42,7 +42,8 @@
 //                  observer, so both sides' tables are cross-checked
 //                  byte-identical to the baseline sweep's.
 //
-// Flags: --quick (CI smoke: small inputs, one reps), --out=PATH (default
+// Flags: --quick (CI smoke: small inputs, one rep; the telemetry and
+// provenance A/Bs still run five pairs), --out=PATH (default
 // BENCH_perf.json; "-" or "" = skip the artifact), --reps=N,
 // --metrics-out=/--trace-out= (telemetry artifacts), plus the standard
 // bench_common knobs (--l2/--assoc/--line/--threads/--scale/--csv).
@@ -319,15 +320,19 @@ int main(int argc, char** argv) {
   // per-rep on/off ratios: a one-sided scheduling hiccup shifts one ratio,
   // not the reported number, and the clamp below keeps "on was faster than
   // off" (pure noise) from reporting a nonsense negative overhead. min-of-
-  // reps per side is still exported for context.
+  // reps per side is still exported for context. Both overhead A/Bs run at
+  // least kMinOverheadPairs pairs even under --quick: a median of one ratio
+  // is a single sample, and on a loaded host one slow side fails the budget.
+  constexpr unsigned kMinOverheadPairs = 5;
+  const unsigned overhead_pairs = std::max(reps, kMinOverheadPairs);
   telemetry::Session ab_session(orchestrate::resolve_threads(scale.threads) + 1);
   telemetry::Session* on_session =
       telemetry_sink.session() != nullptr ? telemetry_sink.session() : &ab_session;
   double sweep_off_sec = 0.0;
   double sweep_on_sec = 0.0;
   std::vector<double> onoff_ratios;
-  onoff_ratios.reserve(reps);
-  for (unsigned r = 0; r < reps; ++r) {
+  onoff_ratios.reserve(overhead_pairs);
+  for (unsigned r = 0; r < overhead_pairs; ++r) {
     telemetry::Session* prev = telemetry::install(nullptr);
     auto t_off = Clock::now();
     const orchestrate::SweepResult off = orchestrate::run_sweep(spec, opts);
@@ -373,8 +378,8 @@ int main(int argc, char** argv) {
   double sweep_prov_on_sec = 0.0;
   bool prov_tables_identical = true;
   std::vector<double> prov_ratios;
-  prov_ratios.reserve(reps);
-  for (unsigned r = 0; r < reps; ++r) {
+  prov_ratios.reserve(overhead_pairs);
+  for (unsigned r = 0; r < overhead_pairs; ++r) {
     auto t_off = Clock::now();
     const orchestrate::SweepResult off = orchestrate::run_sweep(spec, opts);
     const double off_sec = seconds_since(t_off);

@@ -5,35 +5,46 @@
 #include "spf/common/assert.hpp"
 
 namespace spf {
+namespace {
+
+std::uint32_t ptag_stride_for(const CacheGeometry& geometry) {
+  SPF_ASSERT(geometry.ways() <= 64, "validity bitmask holds at most 64 ways");
+  return (geometry.ways() + 7) & ~std::uint32_t{7};
+}
+
+}  // namespace
 
 Cache::Cache(const CacheGeometry& geometry, ReplacementKind policy,
              std::uint64_t seed, Arena* arena)
     : geometry_(geometry),
       policy_(policy, geometry.num_sets(), geometry.ways(), seed),
-      lines_(geometry.num_sets() * geometry.ways(),
-             ArenaAllocator<CacheLine>(arena)),
+      ptag_stride_(ptag_stride_for(geometry)),
       tags_(geometry.num_sets() * geometry.ways(), 0,
             ArenaAllocator<LineAddr>(arena)),
-      valid_(geometry.num_sets(), 0, ArenaAllocator<std::uint64_t>(arena)) {
-  SPF_ASSERT(geometry.ways() <= 64, "validity bitmask holds at most 64 ways");
-}
+      ptags_(geometry.num_sets() * ptag_stride_, 0,
+             ArenaAllocator<std::uint16_t>(arena)),
+      meta_(geometry.num_sets() * geometry.ways(), 0,
+            ArenaAllocator<std::uint8_t>(arena)),
+      valid_(geometry.num_sets(), 0, ArenaAllocator<std::uint64_t>(arena)) {}
 
 void Cache::reset_to(const CacheGeometry& geometry, ReplacementKind policy,
                      std::uint64_t seed) {
-  SPF_ASSERT(geometry.ways() <= 64, "validity bitmask holds at most 64 ways");
   const std::size_t total = geometry.num_sets() * geometry.ways();
+  ptag_stride_ = ptag_stride_for(geometry);
   geometry_ = geometry;
   policy_.reset_to(policy, geometry.num_sets(), geometry.ways(), seed);
   // assign() reuses capacity; a same-shape reset touches no allocator at all
   // (arena or heap), which is what makes pooled ExperimentContext reuse pay.
-  lines_.assign(total, CacheLine{});
   tags_.assign(total, 0);
+  ptags_.assign(geometry.num_sets() * ptag_stride_, 0);
+  meta_.assign(total, 0);
   valid_.assign(geometry.num_sets(), 0);
   stats_ = CacheStats{};
 }
 
-std::optional<Eviction> Cache::fill(LineAddr line, FillOrigin origin, CoreId core,
-                                    Cycle now, std::uint32_t* slot_out) {
+std::optional<Eviction> Cache::fill(LineAddr line, FillOrigin origin,
+                                    CoreId core, Cycle now,
+                                    std::uint32_t* slot_out) {
   const std::uint64_t set = geometry_.set_of_line(line);
   const std::size_t base = set * geometry_.ways();
 
@@ -47,9 +58,7 @@ std::optional<Eviction> Cache::fill(LineAddr line, FillOrigin origin, CoreId cor
     // A demand fill upgrades a prefetch-origin line: the processor now
     // genuinely wants it. A prefetch completing onto a demand-filled line
     // must not *downgrade* provenance.
-    if (origin == FillOrigin::kDemand) {
-      lines_[base + present].used_since_fill = true;
-    }
+    if (origin == FillOrigin::kDemand) meta_[base + present] |= kUsedBit;
     return std::nullopt;
   }
 
@@ -60,7 +69,7 @@ bool Cache::mark_dirty(LineAddr line) {
   const std::uint64_t set = geometry_.set_of_line(line);
   const std::uint32_t way = find_way(set, line);
   if (way == kNoWay) return false;
-  lines_[set * geometry_.ways() + way].dirty = true;
+  meta_[set * geometry_.ways() + way] |= kDirtyBit;
   return true;
 }
 
@@ -69,8 +78,9 @@ bool Cache::invalidate(LineAddr line) {
   const std::uint32_t way = find_way(set, line);
   if (way == kNoWay) return false;
   const std::size_t idx = set * geometry_.ways() + way;
-  lines_[idx] = CacheLine{};
   tags_[idx] = 0;
+  ptags_[set * ptag_stride_ + way] = 0;
+  meta_[idx] = 0;
   valid_[set] &= ~(std::uint64_t{1} << way);
   return true;
 }

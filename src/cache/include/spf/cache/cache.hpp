@@ -9,21 +9,25 @@
 // touched it since the fill — exactly the metadata the paper's three cache
 // pollution cases are defined over.
 //
-// Hot-path layout: lookups scan a flat structure-of-arrays view — one packed
-// tag array plus a per-set validity bitmask — so `find` touches only the
-// bytes it compares, not whole 40-byte CacheLine records. The CacheLine
-// array is kept alongside (same row-major (set, way) order, `valid` kept in
-// sync with the bitmask) for metadata reads, `probe` pointer stability, and
-// `for_each_line` iteration order.
+// Hot-path layout: all per-line state is structure-of-arrays, row-major by
+// (set, way) — a packed full-tag array, a 16-bit partial-tag array, one
+// metadata byte per slot (origin, used, dirty) and a per-set validity
+// bitmask. A lookup touches only the partial-tag row of one set plus, on a
+// candidate match, one full tag; a hit then reads and writes one metadata
+// byte. `CacheLine` is a value assembled from those arrays only where a
+// caller asks for a whole line: `probe()`, `for_each_line()` and the victim
+// of an `Eviction`.
 //
-// Tag match is vectorized where the ISA allows: the packed per-set tag row is
-// compared 2 (SSE2) or 4 (AVX2) ways per instruction into a match bitmask,
-// ANDed with the set's validity bitmask, and resolved with countr_zero — the
-// same lowest-way-wins order as the scalar scan, so artifacts stay
-// byte-identical. `SPF_NO_SIMD` disables the vector path at compile time;
-// setting the `SPF_FORCE_SCALAR_TAGS` environment variable (any value)
-// disables it at run time so CI can exercise the scalar fallback on SIMD
-// hardware.
+// Tag match is vectorized where the ISA allows: the set's partial-tag row
+// (the low 16 bits of each tag, padded to a multiple of 8 keys) is compared
+// 8 keys per SSE2 instruction into a match bitmask, ANDed with the set's
+// validity bitmask, and each candidate way — lowest first — is verified
+// against its full tag. Partial tags only filter: a collision costs one more
+// full-tag compare, never a wrong hit, and the lowest-way-wins order of the
+// scalar scan is kept, so artifacts stay byte-identical. `SPF_NO_SIMD`
+// disables the vector path at compile time; setting the
+// `SPF_FORCE_SCALAR_TAGS` environment variable (any value) disables it at
+// run time so CI can exercise the scalar full-tag scan on SIMD hardware.
 #pragma once
 
 #include <bit>
@@ -61,7 +65,8 @@ inline std::uint32_t find_way_scalar(const LineAddr* tags,
 
 }  // namespace cache_detail
 
-/// Metadata carried by each valid cache line.
+/// Snapshot of one valid cache line's metadata (assembled on demand from the
+/// cache's per-slot arrays; see the layout note above).
 struct CacheLine {
   LineAddr line = 0;
   bool valid = false;
@@ -70,10 +75,6 @@ struct CacheLine {
   FillOrigin origin = FillOrigin::kDemand;
   /// True once a demand (non-prefetch) access hits the line after its fill.
   bool used_since_fill = false;
-  /// Core whose request filled the line.
-  CoreId filler_core = 0;
-  /// Simulated time of the fill.
-  Cycle fill_time = 0;
 };
 
 /// A line pushed out by a fill, annotated with its end-of-life metadata.
@@ -110,10 +111,10 @@ struct CacheStats {
 class Cache {
  public:
   /// Sentinel for "no (set, way) slot" in the slot-reporting interfaces
-  /// below. Slots index the row-major lines_ array: set * ways + way.
+  /// below. Slots index the row-major per-line arrays: set * ways + way.
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  /// `arena`, when non-null, backs the line/tag/validity arrays; it must
+  /// `arena`, when non-null, backs the per-line and validity arrays; it must
   /// outlive the cache (and every cache moved from it). Null keeps the
   /// global heap.
   Cache(const CacheGeometry& geometry, ReplacementKind policy,
@@ -140,12 +141,18 @@ class Cache {
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = CacheStats{}; }
 
-  /// Side-effect-free lookup: returns the line if present, without touching
-  /// replacement state or counters.
-  [[nodiscard]] const CacheLine* probe(LineAddr line) const noexcept {
+  /// Side-effect-free lookup: returns a snapshot of the line if present,
+  /// without touching replacement state or counters.
+  [[nodiscard]] std::optional<CacheLine> probe(LineAddr line) const noexcept {
     const std::uint64_t set = geometry_.set_of_line(line);
     const std::uint32_t way = find_way(set, line);
-    return way == kNoWay ? nullptr : &lines_[set * geometry_.ways() + way];
+    if (way == kNoWay) return std::nullopt;
+    return line_at(set * geometry_.ways() + way);
+  }
+
+  /// Side-effect-free presence check (probe() without building the line).
+  [[nodiscard]] bool contains(LineAddr line) const noexcept {
+    return find_way(geometry_.set_of_line(line), line) != kNoWay;
   }
 
   /// Reference the line. On a hit: updates replacement state, marks the line
@@ -175,14 +182,14 @@ class Cache {
     ++stats_.hits;
     policy_.on_hit(set, way);
     const std::size_t slot = set * geometry_.ways() + way;
-    CacheLine& hit = lines_[slot];
+    std::uint8_t& meta = meta_[slot];
     if (kind != AccessKind::kPrefetch) {
-      if (!hit.used_since_fill && hit.origin != FillOrigin::kDemand) {
+      if ((meta & kUsedBit) == 0 && (meta & kOriginBits) != 0) {
         first_use_slot = static_cast<std::uint32_t>(slot);
       }
-      hit.used_since_fill = true;
+      meta |= kUsedBit;
     }
-    if (kind == AccessKind::kWrite) hit.dirty = true;
+    if (kind == AccessKind::kWrite) meta |= kDirtyBit;
     return true;
   }
 
@@ -200,7 +207,7 @@ class Cache {
   /// refill). Precondition: `line` is not present. Inline: this is the
   /// simulator's per-L1-miss refill path.
   std::optional<Eviction> fill_absent(LineAddr line, FillOrigin origin,
-                                      CoreId core, Cycle now,
+                                      CoreId /*core*/, Cycle now,
                                       std::uint32_t* slot_out = nullptr) {
     const std::uint64_t set = geometry_.set_of_line(line);
     const std::size_t base = set * geometry_.ways();
@@ -212,37 +219,35 @@ class Cache {
         geometry_.ways() == 64 ? ~std::uint64_t{0}
                                : (std::uint64_t{1} << geometry_.ways()) - 1;
     const std::uint64_t free_mask = ~valid_[set] & full_mask;
-    std::uint32_t way = geometry_.ways();
-    if (free_mask != 0) {
-      // Lowest invalid way first, matching the old ascending scan.
-      way = static_cast<std::uint32_t>(std::countr_zero(free_mask));
-    }
 
     std::optional<Eviction> evicted;
-    if (way == geometry_.ways()) {
+    std::uint32_t way;
+    if (free_mask != 0) {
+      // Lowest invalid way first.
+      way = static_cast<std::uint32_t>(std::countr_zero(free_mask));
+    } else {
       way = policy_.victim(set);
       SPF_DEBUG_ASSERT(way < geometry_.ways(), "policy returned bad way");
-      CacheLine& victim = lines_[base + way];
+      const std::size_t victim_slot = base + way;
+      const std::uint8_t victim_meta = meta_[victim_slot];
       ++stats_.evictions;
-      if (!victim.used_since_fill) {
-        if (victim.origin == FillOrigin::kHelper) ++stats_.evicted_unused_helper;
-        if (victim.origin == FillOrigin::kHardware) ++stats_.evicted_unused_hw;
+      if ((victim_meta & kUsedBit) == 0) {
+        const auto victim_origin =
+            static_cast<FillOrigin>(victim_meta & kOriginBits);
+        if (victim_origin == FillOrigin::kHelper) ++stats_.evicted_unused_helper;
+        if (victim_origin == FillOrigin::kHardware) ++stats_.evicted_unused_hw;
       }
-      evicted = Eviction{victim, line, origin, now,
-                         static_cast<std::uint32_t>(base + way)};
+      evicted = Eviction{line_at(victim_slot), line, origin, now,
+                         static_cast<std::uint32_t>(victim_slot)};
     }
 
-    if (slot_out != nullptr) *slot_out = static_cast<std::uint32_t>(base + way);
-    lines_[base + way] = CacheLine{
-        .line = line,
-        .valid = true,
-        .dirty = false,
-        .origin = origin,
-        .used_since_fill = origin == FillOrigin::kDemand,
-        .filler_core = core,
-        .fill_time = now,
-    };
-    tags_[base + way] = line;
+    const std::size_t slot = base + way;
+    if (slot_out != nullptr) *slot_out = static_cast<std::uint32_t>(slot);
+    tags_[slot] = line;
+    ptags_[set * ptag_stride_ + way] = partial_tag(line);
+    meta_[slot] = static_cast<std::uint8_t>(
+        static_cast<std::uint8_t>(origin) |
+        (origin == FillOrigin::kDemand ? kUsedBit : 0));
     valid_[set] |= std::uint64_t{1} << way;
     policy_.on_fill(set, way);
     return evicted;
@@ -273,28 +278,57 @@ class Cache {
   /// type erasure on snapshot paths.
   template <typename Fn>
   void for_each_line(Fn&& fn) const {
-    for (const CacheLine& l : lines_) {
-      if (l.valid) fn(l);
+    for (std::uint64_t set = 0; set < valid_.size(); ++set) {
+      for (std::uint64_t m = valid_[set]; m != 0; m &= m - 1) {
+        fn(line_at(set * geometry_.ways() +
+                   static_cast<std::uint32_t>(std::countr_zero(m))));
+      }
     }
   }
 
  private:
   static constexpr std::uint32_t kNoWay = cache_detail::kNoWay;
+  // Per-slot metadata byte: the FillOrigin value in the low two bits, then
+  // the used-since-fill and dirty flags.
+  static constexpr std::uint8_t kOriginBits = 0x3;
+  static constexpr std::uint8_t kUsedBit = 0x4;
+  static constexpr std::uint8_t kDirtyBit = 0x8;
 
   template <typename T>
   using ArenaVec = std::vector<T, ArenaAllocator<T>>;
 
-  /// Way holding `line` in `set`, or kNoWay. Vector compare over the packed
-  /// tag row when available; the validity AND + countr_zero keeps the scalar
-  /// scan's lowest-way-wins order exactly.
+  /// Low 16 bits of the line's tag: the lookup filter key.
+  [[nodiscard]] std::uint16_t partial_tag(LineAddr line) const noexcept {
+    return static_cast<std::uint16_t>(geometry_.tag_of_line(line));
+  }
+
+  /// Assembles the line in (valid) slot `slot` from the per-slot arrays.
+  [[nodiscard]] CacheLine line_at(std::size_t slot) const noexcept {
+    const std::uint8_t meta = meta_[slot];
+    return CacheLine{.line = tags_[slot],
+                     .valid = true,
+                     .dirty = (meta & kDirtyBit) != 0,
+                     .origin = static_cast<FillOrigin>(meta & kOriginBits),
+                     .used_since_fill = (meta & kUsedBit) != 0};
+  }
+
+  /// Way holding `line` in `set`, or kNoWay. The vector path filters the
+  /// set's partial-tag row, then verifies candidate ways lowest first against
+  /// the full tags; the scalar path scans the full tags directly. Both keep
+  /// lowest-way-wins order.
   [[nodiscard]] std::uint32_t find_way(std::uint64_t set,
                                        LineAddr line) const noexcept {
     const LineAddr* tags = &tags_[set * geometry_.ways()];
 #ifdef SPF_SIMD_MATCH
     if (!simd::force_scalar) {
-      const std::uint64_t m =
-          simd::match_mask_u64(tags, geometry_.ways(), line) & valid_[set];
-      return m != 0 ? static_cast<std::uint32_t>(std::countr_zero(m)) : kNoWay;
+      std::uint64_t m = simd::match_mask_u16(&ptags_[set * ptag_stride_],
+                                             ptag_stride_, partial_tag(line)) &
+                        valid_[set];
+      for (; m != 0; m &= m - 1) {
+        const auto w = static_cast<std::uint32_t>(std::countr_zero(m));
+        if (tags[w] == line) return w;
+      }
+      return kNoWay;
     }
 #endif
     return cache_detail::find_way_scalar(tags, valid_[set], line);
@@ -302,8 +336,13 @@ class Cache {
 
   CacheGeometry geometry_;
   ReplacementState policy_;
-  ArenaVec<CacheLine> lines_;   // num_sets * ways, row-major by set
-  ArenaVec<LineAddr> tags_;     // mirror of lines_[i].line, packed
+  /// Partial-tag row length: ways rounded up to a multiple of 8 so the
+  /// vector compare never reads past a row (padding keys are masked off by
+  /// the validity bitmask).
+  std::uint32_t ptag_stride_;
+  ArenaVec<LineAddr> tags_;        // num_sets * ways, row-major by set
+  ArenaVec<std::uint16_t> ptags_;  // num_sets * ptag_stride_
+  ArenaVec<std::uint8_t> meta_;    // num_sets * ways: origin | used | dirty
   ArenaVec<std::uint64_t> valid_;  // per-set validity bitmask (ways <= 64)
   CacheStats stats_;
 };

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "spf/common/assert.hpp"
+#include "spf/common/min_stamp.hpp"
 #include "spf/common/rng.hpp"
 #include "spf/mem/types.hpp"
 
@@ -62,16 +63,7 @@ class LruState {
     stamps_[set * ways_ + way] = ++clock_;
   }
   [[nodiscard]] std::uint32_t victim(std::uint64_t set) {
-    std::uint32_t best = 0;
-    std::uint64_t best_stamp = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      const std::uint64_t s = stamps_[set * ways_ + w];
-      if (s < best_stamp) {
-        best_stamp = s;
-        best = w;
-      }
-    }
-    return best;
+    return min_stamp_index(&stamps_[set * ways_], ways_);
   }
   [[nodiscard]] ReplacementKind kind() const noexcept {
     return ReplacementKind::kLru;
@@ -159,16 +151,7 @@ class FifoState {
     stamps_[set * ways_ + way] = ++clock_;
   }
   [[nodiscard]] std::uint32_t victim(std::uint64_t set) {
-    std::uint32_t best = 0;
-    std::uint64_t best_stamp = ~std::uint64_t{0};
-    for (std::uint32_t w = 0; w < ways_; ++w) {
-      const std::uint64_t s = stamps_[set * ways_ + w];
-      if (s < best_stamp) {
-        best_stamp = s;
-        best = w;
-      }
-    }
-    return best;
+    return min_stamp_index(&stamps_[set * ways_], ways_);
   }
   [[nodiscard]] ReplacementKind kind() const noexcept {
     return ReplacementKind::kFifo;

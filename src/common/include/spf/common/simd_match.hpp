@@ -1,12 +1,13 @@
-// Vectorized first-match search over packed 64-bit keys.
+// Vectorized first-match search over packed keys.
 //
-// The cache's per-set tag rows and the MSHR file's outstanding-line array are
-// both tiny packed u64 arrays scanned on every simulated access. This header
-// builds an equality bitmask over such an array — 2 keys per compare with
-// SSE2, 4 with AVX2 — so callers resolve "which slot holds this key" with one
-// countr_zero instead of a branchy element-at-a-time loop. Bit i of the mask
-// corresponds to slot i, so countr_zero preserves lowest-slot-wins order and
-// artifacts stay byte-identical with the scalar scan.
+// The cache's per-set partial-tag rows and the streamer's page keys (u16)
+// and the MSHR file's outstanding-line array (u64) are tiny packed arrays
+// scanned on every simulated access. This header builds an equality bitmask over such an
+// array — 8 u16 keys per SSE2 compare; 2 u64 keys with SSE2, 4 with AVX2 —
+// so callers resolve "which slot holds this key" with one countr_zero
+// instead of a branchy element-at-a-time loop. Bit i of the mask corresponds
+// to slot i, so countr_zero preserves lowest-slot-wins order and artifacts
+// stay byte-identical with the scalar scan.
 //
 // Two escape hatches keep the scalar path honest:
 //   - compile time: define SPF_NO_SIMD (SPF_SIMD_MATCH stays undefined);
@@ -61,6 +62,35 @@ inline std::uint64_t match_mask_u64(const std::uint64_t* vals, std::uint32_t n,
   }
   for (; i < n; ++i) {
     m |= static_cast<std::uint64_t>(vals[i] == needle) << i;
+  }
+  return m;
+}
+
+/// Bit i set iff keys[i] == needle, for i in [0, n). n must be a multiple of
+/// 8 and at most 64 (the cache pads its partial-tag rows to 8 keys).
+inline std::uint64_t match_mask_u16(const std::uint16_t* keys, std::uint32_t n,
+                                    std::uint16_t needle) noexcept {
+  const __m128i needle8 = _mm_set1_epi16(static_cast<short>(needle));
+  std::uint64_t m = 0;
+  std::uint32_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i lo = _mm_cmpeq_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i)), needle8);
+    const __m128i hi = _mm_cmpeq_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i + 8)),
+        needle8);
+    // Saturating pack turns each all-ones/all-zero u16 lane into one byte,
+    // so movemask yields exactly one bit per key.
+    m |= static_cast<std::uint64_t>(static_cast<std::uint16_t>(
+             _mm_movemask_epi8(_mm_packs_epi16(lo, hi))))
+         << i;
+  }
+  if (i < n) {
+    const __m128i eq = _mm_cmpeq_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i)), needle8);
+    m |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(
+             _mm_movemask_epi8(_mm_packs_epi16(eq, _mm_setzero_si128()))))
+         << i;
   }
   return m;
 }

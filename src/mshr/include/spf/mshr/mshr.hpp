@@ -13,6 +13,10 @@
 // Capacity is finite (real L2s have 10-32 MSHRs). When full, demand misses
 // stall until an entry frees; prefetches are simply dropped, which is also
 // what real prefetchers do under MSHR pressure.
+//
+// Entries are kept sorted by fill time, ties in allocation order. The memory
+// channel's start times never decrease, so an allocation is an append in
+// practice, and a drain pops a prefix that is already in completion order.
 #pragma once
 
 #include <bit>
@@ -87,14 +91,15 @@ class MshrFile {
   void mark_write(LineAddr line);
 
   /// Earliest outstanding completion time; Cycle max when empty. O(1): the
-  /// minimum is maintained on allocate and recomputed when a drain removes
-  /// entries (the simulator polls this once per access, drains far less).
+  /// fill time of the first (sorted) entry, cached because the simulator
+  /// polls this once per access and drains far less often.
   [[nodiscard]] Cycle next_completion() const noexcept {
     return next_completion_;
   }
 
   /// Remove and return every entry with fill_time <= now, in completion
-  /// order (callers install the fills into the cache).
+  /// order — ties in allocation order (callers install the fills into the
+  /// cache).
   std::vector<MshrEntry> drain_completed(Cycle now);
 
   /// Allocation-free variant for the simulator hot path: clears `out` and
@@ -141,7 +146,8 @@ class MshrFile {
   }
 
   std::size_t capacity_;
-  std::vector<MshrEntry> entries_;  // small (<=32): linear scan wins
+  // Small (<=32): linear scan wins. Sorted by (fill_time, allocation order).
+  std::vector<MshrEntry> entries_;
   std::vector<LineAddr> lines_;     // packed mirror of entries_[i].line
   Cycle next_completion_ = std::numeric_limits<Cycle>::max();
   MshrStats stats_;

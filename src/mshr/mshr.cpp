@@ -21,17 +21,23 @@ const MshrEntry* MshrFile::allocate(LineAddr line, Cycle issue, Cycle fill,
     ++stats_.full_rejections;
     return nullptr;
   }
-  entries_.push_back(MshrEntry{.line = line,
-                               .issue_time = issue,
-                               .fill_time = fill,
-                               .origin = origin,
-                               .core = core});
-  lines_.push_back(line);
-  next_completion_ = std::min(next_completion_, fill);
+  // Insert after every entry filling no later: keeps (fill_time, allocation
+  // order). The loop does not run when fill times arrive non-decreasing.
+  std::size_t at = entries_.size();
+  while (at > 0 && entries_[at - 1].fill_time > fill) --at;
+  const auto pos = static_cast<std::ptrdiff_t>(at);
+  entries_.insert(entries_.begin() + pos,
+                  MshrEntry{.line = line,
+                            .issue_time = issue,
+                            .fill_time = fill,
+                            .origin = origin,
+                            .core = core});
+  lines_.insert(lines_.begin() + pos, line);
+  next_completion_ = entries_.front().fill_time;
   ++stats_.allocations;
   stats_.peak_occupancy = std::max<std::uint64_t>(stats_.peak_occupancy,
                                                   entries_.size());
-  return &entries_.back();
+  return &entries_[at];
 }
 
 const MshrEntry& MshrFile::merge(LineAddr line, bool demand_requester) {
@@ -58,31 +64,15 @@ std::vector<MshrEntry> MshrFile::drain_completed(Cycle now) {
 }
 
 void MshrFile::drain_completed_into(Cycle now, std::vector<MshrEntry>& out) {
-  out.clear();
-  // Stable in-place split (same result as stable_partition, but no temporary
-  // buffer allocation): completed entries move to `out` in arrival order,
-  // survivors keep their relative order.
-  std::size_t keep = 0;
-  Cycle next = std::numeric_limits<Cycle>::max();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].fill_time > now) {
-      next = std::min(next, entries_[i].fill_time);
-      if (keep != i) {
-        entries_[keep] = entries_[i];
-        lines_[keep] = lines_[i];
-      }
-      ++keep;
-    } else {
-      out.push_back(entries_[i]);
-    }
-  }
-  entries_.resize(keep);
-  lines_.resize(keep);
-  next_completion_ = next;
-  std::sort(out.begin(), out.end(),
-            [](const MshrEntry& a, const MshrEntry& b) {
-              return a.fill_time < b.fill_time;
-            });
+  // Completed entries are a prefix of the sorted file.
+  std::size_t done = 0;
+  while (done < entries_.size() && entries_[done].fill_time <= now) ++done;
+  const auto end = static_cast<std::ptrdiff_t>(done);
+  out.assign(entries_.begin(), entries_.begin() + end);
+  entries_.erase(entries_.begin(), entries_.begin() + end);
+  lines_.erase(lines_.begin(), lines_.begin() + end);
+  next_completion_ = entries_.empty() ? std::numeric_limits<Cycle>::max()
+                                      : entries_.front().fill_time;
 }
 
 }  // namespace spf

@@ -5,12 +5,22 @@
 // work on physical addresses). Two consecutive misses to adjacent lines in
 // the same page arm a stream; while armed, each access at the stream head
 // pulls the window `distance` lines ahead.
+//
+// The page match runs on every observed access, so it works like the cache's
+// tag match: the low 16 bits of each tracker's page sit in a packed key array
+// (padded to a multiple of 8 keys) beside a validity bitmask, a vector
+// compare filters the valid trackers whose key matches, and each candidate
+// is verified against its full page. Replacement stamps are packed too, so
+// the victim is one branch-free scan; the rest of a tracker's state is read
+// only once its page matched.
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
+#include "spf/common/min_stamp.hpp"
+#include "spf/common/simd_match.hpp"
 #include "spf/prefetch/prefetcher.hpp"
 
 namespace spf {
@@ -37,42 +47,58 @@ class StreamPrefetcher final : public HwPrefetcher {
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
 
  private:
-  enum class State : std::uint8_t { kInvalid, kTraining, kArmed };
+  enum class State : std::uint8_t { kTraining, kArmed };
 
+  /// Tracker state beside its page and stamp; meaningful only while the
+  /// tracker's validity bit is set.
   struct Stream {
-    State state = State::kInvalid;
-    std::uint64_t page = 0;   // page-granular address
+    State state = State::kTraining;
     LineAddr last_line = 0;   // last observed line in the stream
     LineAddr sent_until = 0;  // highest (or lowest) line already requested
     std::int8_t dir = 1;      // +1 ascending, -1 descending
-    std::uint64_t lru = 0;    // replacement stamp
   };
 
-  Stream* find_page(std::uint64_t page) {
-    for (Stream& s : streams_) {
-      if (s.state != State::kInvalid && s.page == page) return &s;
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  /// Tracker following `page`, or kNone. Valid pages are unique, so the
+  /// lowest match is the only one.
+  [[nodiscard]] std::uint32_t find_page(std::uint64_t page) const noexcept {
+    std::uint64_t m = valid_;
+#ifdef SPF_SIMD_MATCH
+    if (!simd::force_scalar) {
+      m &= simd::match_mask_u16(keys_.data(),
+                                static_cast<std::uint32_t>(keys_.size()),
+                                static_cast<std::uint16_t>(page));
     }
-    return nullptr;
+#endif
+    for (; m != 0; m &= m - 1) {
+      const auto i = static_cast<std::uint32_t>(std::countr_zero(m));
+      if (pages_[i] == page) return i;
+    }
+    return kNone;
   }
 
-  Stream& victim() {
-    Stream* best = &streams_[0];
-    std::uint64_t best_lru = std::numeric_limits<std::uint64_t>::max();
-    for (Stream& s : streams_) {
-      if (s.state == State::kInvalid) return s;
-      if (s.lru < best_lru) {
-        best_lru = s.lru;
-        best = &s;
-      }
+  /// Lowest invalid tracker, else the least recently touched (lowest index
+  /// on ties).
+  [[nodiscard]] std::uint32_t victim() const noexcept {
+    const auto n = static_cast<std::uint32_t>(streams_.size());
+    const std::uint64_t all =
+        n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+    if (const std::uint64_t free = ~valid_ & all; free != 0) {
+      return static_cast<std::uint32_t>(std::countr_zero(free));
     }
-    return *best;
+    return min_stamp_index(lru_.data(), n);
   }
 
   StreamConfig config_;
   std::uint32_t line_shift_;
   std::uint32_t page_shift_;
   std::uint32_t lines_per_page_;
+  std::vector<std::uint16_t> keys_;   // low 16 bits of pages_[i], padded
+  std::vector<std::uint64_t> pages_;  // page-granular address per tracker
+  std::vector<std::uint64_t> lru_;    // replacement stamp per tracker
   std::vector<Stream> streams_;
+  std::uint64_t valid_ = 0;  // bit i: tracker i follows pages_[i]
   std::uint64_t clock_ = 0;
   std::uint64_t issued_ = 0;
 };
@@ -85,19 +111,22 @@ inline void StreamPrefetcher::observe(const PrefetchObservation& obs,
   const std::uint64_t page = obs.addr >> page_shift_;
   ++clock_;
 
-  Stream* s = find_page(page);
-  if (s == nullptr) {
+  const std::uint32_t found = find_page(page);
+  if (found == kNone) {
     if (!obs.was_miss) return;  // streams train on misses only
-    Stream& fresh = victim();
-    fresh = Stream{.state = State::kTraining,
-                   .page = page,
-                   .last_line = line,
-                   .sent_until = line,
-                   .dir = 1,
-                   .lru = clock_};
+    const std::uint32_t fresh = victim();
+    keys_[fresh] = static_cast<std::uint16_t>(page);
+    pages_[fresh] = page;
+    lru_[fresh] = clock_;
+    streams_[fresh] = Stream{.state = State::kTraining,
+                             .last_line = line,
+                             .sent_until = line,
+                             .dir = 1};
+    valid_ |= std::uint64_t{1} << fresh;
     return;
   }
-  s->lru = clock_;
+  lru_[found] = clock_;
+  Stream* s = &streams_[found];
 
   if (s->state == State::kTraining) {
     if (!obs.was_miss || line == s->last_line) return;
@@ -119,7 +148,7 @@ inline void StreamPrefetcher::observe(const PrefetchObservation& obs,
 
   // Armed: keep the window `distance` lines ahead of the head, `degree` lines
   // per trigger, clipped to the page.
-  const LineAddr page_first = s->page << (page_shift_ - line_shift_);
+  const LineAddr page_first = page << (page_shift_ - line_shift_);
   const LineAddr page_last = page_first + lines_per_page_ - 1;
   std::uint32_t sent = 0;
   while (sent < config_.degree) {

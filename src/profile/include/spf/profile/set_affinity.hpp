@@ -16,12 +16,18 @@
 //  * kRecurrent — after recording, the set's distinct-block window restarts,
 //    yielding the ongoing saturation *rate*; useful for long streams whose
 //    behaviour drifts across phases.
+//
+// A set's window never holds more than `ways` distinct blocks — it records
+// and stops (or restarts) when the count reaches the associativity — so the
+// analyzer keeps one flat row of `ways` block slots per set plus a count,
+// instead of a hash set per set. A touched-set list lets finish() reset only
+// the rows the stream reached, which keeps a reused analyzer cheap across
+// many short invocations.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "spf/common/stats.hpp"
@@ -78,15 +84,20 @@ class SetAffinityAnalyzer {
 
  private:
   struct SetState {
-    std::unordered_set<std::uint64_t> blocks;
-    bool saturated = false;
+    /// Distinct blocks in the current window (the first `count` slots of
+    /// the set's row in blocks_).
+    std::uint32_t count = 0;
     /// Outer iteration the current counting window started at.
     std::uint32_t window_start = 0;
+    bool saturated = false;
+    bool touched = false;
   };
 
   CacheGeometry geometry_;
   SetAffinityMode mode_;
-  std::unordered_map<std::uint64_t, SetState> sets_;
+  std::vector<SetState> sets_;        // one per cache set
+  std::vector<LineAddr> blocks_;      // num_sets * ways block slots
+  std::vector<std::uint64_t> touched_;  // sets observed since the last finish()
   SetAffinityResult result_;
 };
 

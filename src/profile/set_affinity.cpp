@@ -41,7 +41,10 @@ std::string SetAffinityResult::to_string() const {
 
 SetAffinityAnalyzer::SetAffinityAnalyzer(const CacheGeometry& geometry,
                                          SetAffinityMode mode)
-    : geometry_(geometry), mode_(mode) {}
+    : geometry_(geometry),
+      mode_(mode),
+      sets_(geometry.num_sets()),
+      blocks_(geometry.num_sets() * geometry.ways()) {}
 
 std::uint32_t SetAffinityAnalyzer::observe(Addr addr,
                                            std::uint32_t outer_iter) {
@@ -51,13 +54,19 @@ std::uint32_t SetAffinityAnalyzer::observe(Addr addr,
   const LineAddr line = geometry_.line_of(addr);
   const std::uint64_t set = geometry_.set_of_line(line);
   SetState& state = sets_[set];
+  if (!state.touched) {
+    state.touched = true;
+    touched_.push_back(set);
+  }
 
   if (state.saturated && mode_ == SetAffinityMode::kFirstSaturation) return 0;
 
   // Figure 3: only *new* distinct blocks advance the set's count.
-  if (!state.blocks.insert(line).second) return 0;
+  LineAddr* row = &blocks_[set * geometry_.ways()];
+  if (std::find(row, row + state.count, line) != row + state.count) return 0;
+  row[state.count++] = line;
 
-  if (state.blocks.size() >= geometry_.ways()) {
+  if (state.count >= geometry_.ways()) {
     // Iteration count is 1-based and measured from the current window's
     // start: the loop start for the first saturation (exactly Figure 3),
     // or the previous saturation point in kRecurrent mode.
@@ -68,7 +77,7 @@ std::uint32_t SetAffinityAnalyzer::observe(Addr addr,
       result_.per_set.emplace(set, sa);
     }
     if (mode_ == SetAffinityMode::kRecurrent) {
-      state.blocks.clear();
+      state.count = 0;
       state.window_start = outer_iter + 1;
     }
     return sa;
@@ -77,10 +86,11 @@ std::uint32_t SetAffinityAnalyzer::observe(Addr addr,
 }
 
 SetAffinityResult SetAffinityAnalyzer::finish() {
-  result_.touched_sets = sets_.size();
+  result_.touched_sets = touched_.size();
+  for (const std::uint64_t set : touched_) sets_[set] = SetState{};
+  touched_.clear();
   SetAffinityResult out = std::move(result_);
   result_ = SetAffinityResult{};
-  sets_.clear();
   return out;
 }
 

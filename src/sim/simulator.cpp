@@ -569,7 +569,7 @@ Cycle CmpSimulator::software_prefetch(CoreState& core, CoreId id,
   const LineAddr line = config_.l2.line_of(rec.addr);
   drain_l2(t);
 
-  if (l2_->probe(line) != nullptr || mshr_->find(line) != nullptr) {
+  if (l2_->contains(line) || mshr_->find(line) != nullptr) {
     ++core.metrics.prefetches_elided;
     return t;
   }
@@ -597,7 +597,7 @@ void CmpSimulator::issue_hw_prefetches(CoreState& core, CoreId id,
                           .was_miss = was_l2_miss},
       pf_scratch_);
   for (LineAddr line : pf_scratch_) {
-    if (l2_->probe(line) != nullptr || mshr_->find(line) != nullptr) continue;
+    if (l2_->contains(line) || mshr_->find(line) != nullptr) continue;
     if (mshr_->full()) break;  // hw prefetches never stall: drop the rest
     const Cycle fill_time = memory_->issue(now, FillOrigin::kHardware);
     mshr_->allocate(line, now, fill_time, FillOrigin::kHardware, id);

@@ -197,7 +197,10 @@ class Session {
 
 namespace detail {
 extern std::atomic<Session*> g_session;
-extern thread_local Lane* tl_lane;
+// constinit (matching the definition) tells every includer the variable is
+// constant-initialized, so reads are plain TLS loads instead of calls through
+// GCC's dynamic-initialization wrapper (which UBSan flags as a null load).
+extern constinit thread_local Lane* tl_lane;
 }  // namespace detail
 
 /// Installs `session` as the process-global recording target and binds the

@@ -59,7 +59,7 @@ const char* to_string(Gauge g) noexcept {
 
 namespace detail {
 std::atomic<Session*> g_session{nullptr};
-thread_local Lane* tl_lane = nullptr;
+constinit thread_local Lane* tl_lane = nullptr;
 }  // namespace detail
 
 Session::Session(std::size_t lanes, Options options)

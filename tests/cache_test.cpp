@@ -2,6 +2,7 @@
 // metadata, and every replacement policy.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -31,10 +32,13 @@ TEST(CacheTest, MissThenFillThenHit) {
 
 TEST(CacheTest, ProbeHasNoSideEffects) {
   Cache c(tiny(), ReplacementKind::kLru);
-  EXPECT_EQ(c.probe(5), nullptr);
+  EXPECT_FALSE(c.probe(5).has_value());
+  EXPECT_FALSE(c.contains(5));
   c.fill(5, FillOrigin::kHelper, 1, 0);
-  const CacheLine* line = c.probe(5);
-  ASSERT_NE(line, nullptr);
+  const std::optional<CacheLine> line = c.probe(5);
+  ASSERT_TRUE(line.has_value());
+  EXPECT_TRUE(c.contains(5));
+  EXPECT_EQ(line->line, 5u);
   EXPECT_EQ(line->origin, FillOrigin::kHelper);
   EXPECT_FALSE(line->used_since_fill);
   EXPECT_EQ(c.stats().lookups, 0u);  // probes are not counted
@@ -113,7 +117,7 @@ TEST(CacheTest, InvalidateRemovesLine) {
   Cache c(tiny(), ReplacementKind::kLru);
   c.fill(4, FillOrigin::kDemand, 0, 0);
   EXPECT_TRUE(c.invalidate(4));
-  EXPECT_EQ(c.probe(4), nullptr);
+  EXPECT_FALSE(c.probe(4).has_value());
   EXPECT_FALSE(c.invalidate(4));
 }
 
@@ -149,10 +153,10 @@ TEST(CacheTest, MoveTransfersStateAndMovedFromIsReassignable) {
 
   Cache dst = std::move(src);
   // Contents, metadata, stats, and replacement state all came across.
-  ASSERT_NE(dst.probe(a), nullptr);
+  ASSERT_TRUE(dst.probe(a).has_value());
   EXPECT_EQ(dst.probe(a)->origin, FillOrigin::kHelper);
-  EXPECT_EQ(dst.probe(a)->filler_core, 3u);
-  ASSERT_NE(dst.probe(b), nullptr);
+  EXPECT_FALSE(dst.probe(a)->used_since_fill);
+  ASSERT_TRUE(dst.probe(b).has_value());
   EXPECT_EQ(dst.stats().fills, 2u);
   EXPECT_EQ(dst.stats().misses, 1u);
   EXPECT_EQ(dst.set_occupancy(0), 2u);
@@ -269,7 +273,7 @@ TEST_P(PolicyPropertyTest, OccupancyBoundedAndFillVisible) {
     const LineAddr line = rng.below(64);
     if (!c.access(line, AccessKind::kRead, i)) {
       c.fill(line, FillOrigin::kDemand, 0, i);
-      ASSERT_NE(c.probe(line), nullptr) << "fill not visible";
+      ASSERT_TRUE(c.contains(line)) << "fill not visible";
     }
     for (std::uint64_t s = 0; s < g.num_sets(); ++s) {
       ASSERT_LE(c.set_occupancy(s), g.ways());

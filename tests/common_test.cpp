@@ -288,6 +288,24 @@ TEST(SimdMatchTest, MaskMatchesScalarScan) {
         << "n=" << n << " trial=" << trial;
   }
 }
+
+TEST(SimdMatchTest, U16MaskMatchesScalarScan) {
+  Xoshiro256 rng(43);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::uint32_t n = 8 * (1 + static_cast<std::uint32_t>(rng.below(8)));
+    std::vector<std::uint16_t> keys(n);
+    // Dense duplicates, plus keys with the sign bit set (the saturating
+    // pack must still map every equal lane to exactly one mask bit).
+    for (auto& k : keys) k = static_cast<std::uint16_t>(0x7ffe + rng.below(4));
+    const auto needle = static_cast<std::uint16_t>(0x7ffe + rng.below(4));
+    std::uint64_t expected = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (keys[i] == needle) expected |= std::uint64_t{1} << i;
+    }
+    EXPECT_EQ(simd::match_mask_u16(keys.data(), n, needle), expected)
+        << "n=" << n << " trial=" << trial;
+  }
+}
 #endif  // SPF_SIMD_MATCH
 
 }  // namespace

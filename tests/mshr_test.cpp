@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "spf/mshr/mshr.hpp"
 
@@ -93,6 +94,47 @@ TEST(MshrTest, DrainCompletedReturnsInFillOrder) {
   EXPECT_EQ(done[1].line, 1u);
   EXPECT_EQ(mshr.size(), 1u);
   EXPECT_EQ(mshr.find(3)->line, 3u);
+}
+
+// Entries allocated out of fill order (including ties) drain sorted by fill
+// time, ties in allocation order, and merges/marks still find every line
+// wherever its entry sits.
+TEST(MshrTest, OutOfOrderAllocationsDrainByFillTimeThenAllocation) {
+  MshrFile mshr(8);
+  const Cycle fills[] = {50, 30, 50, 10, 30, 40, 10};
+  for (LineAddr line = 0; line < 7; ++line) {
+    ASSERT_NE(mshr.allocate(line, 0, fills[line], FillOrigin::kDemand, 0),
+              nullptr);
+  }
+  EXPECT_EQ(mshr.next_completion(), 10u);
+  for (LineAddr line = 0; line < 7; ++line) {
+    ASSERT_NE(mshr.find(line), nullptr) << "line " << line;
+    EXPECT_EQ(mshr.find(line)->fill_time, fills[line]);
+  }
+  mshr.mark_write(4);
+  EXPECT_EQ(mshr.merge(2, /*demand_requester=*/true).merged, 1u);
+
+  const auto first = mshr.drain_completed(30);
+  const std::vector<LineAddr> first_order = {3, 6, 1, 4};
+  ASSERT_EQ(first.size(), first_order.size());
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(first[i].line, first_order[i]) << "position " << i;
+  }
+  EXPECT_TRUE(first[3].write);
+  EXPECT_EQ(mshr.next_completion(), 40u);
+
+  // A late allocation that completes before the survivors goes first.
+  ASSERT_NE(mshr.allocate(9, 31, 35, FillOrigin::kHardware, 1), nullptr);
+  EXPECT_EQ(mshr.next_completion(), 35u);
+  const auto rest = mshr.drain_completed(std::numeric_limits<Cycle>::max());
+  const std::vector<LineAddr> rest_order = {9, 5, 0, 2};
+  ASSERT_EQ(rest.size(), rest_order.size());
+  for (std::size_t i = 0; i < rest.size(); ++i) {
+    EXPECT_EQ(rest[i].line, rest_order[i]) << "position " << i;
+  }
+  EXPECT_EQ(rest[3].merged, 1u);
+  EXPECT_EQ(mshr.size(), 0u);
+  EXPECT_EQ(mshr.next_completion(), std::numeric_limits<Cycle>::max());
 }
 
 TEST(MshrTest, DrainAtExactFillTimeCompletes) {

@@ -2,6 +2,11 @@
 // sampling, phase detection, CALR estimation, invocation-aware analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <unordered_map>
+#include <unordered_set>
+
 #include "spf/common/rng.hpp"
 #include "spf/profile/calr.hpp"
 #include "spf/profile/invocations.hpp"
@@ -87,6 +92,111 @@ TEST(SetAffinityTest, AnalyzeTraceConvenience) {
   EXPECT_EQ(r.per_set.at(0), 4u);
   EXPECT_EQ(r.accesses, 2u);
 }
+
+/// The analyzer as Figure 3 reads most literally: a hash set of distinct
+/// blocks per touched set. The production analyzer keeps flat per-set rows
+/// of `ways` slots and a touched-set list instead; the two must agree.
+class ReferenceSetAffinity {
+ public:
+  ReferenceSetAffinity(const CacheGeometry& g, SetAffinityMode mode)
+      : geometry_(g), mode_(mode) {}
+
+  std::uint32_t observe(Addr addr, std::uint32_t outer_iter) {
+    ++result_.accesses;
+    result_.outer_iterations =
+        std::max(result_.outer_iterations, outer_iter + 1);
+    const LineAddr line = geometry_.line_of(addr);
+    const std::uint64_t set = geometry_.set_of_line(line);
+    State& state = sets_[set];
+    if (state.saturated && mode_ == SetAffinityMode::kFirstSaturation) {
+      return 0;
+    }
+    if (!state.blocks.insert(line).second) return 0;
+    if (state.blocks.size() < geometry_.ways()) return 0;
+    const std::uint32_t sa = outer_iter + 1 - state.window_start;
+    result_.samples.push_back(sa);
+    if (!state.saturated) {
+      state.saturated = true;
+      result_.per_set.emplace(set, sa);
+    }
+    if (mode_ == SetAffinityMode::kRecurrent) {
+      state.blocks.clear();
+      state.window_start = outer_iter + 1;
+    }
+    return sa;
+  }
+
+  SetAffinityResult finish() {
+    result_.touched_sets = sets_.size();
+    SetAffinityResult out = std::move(result_);
+    result_ = SetAffinityResult{};
+    sets_.clear();
+    return out;
+  }
+
+ private:
+  struct State {
+    std::unordered_set<LineAddr> blocks;
+    bool saturated = false;
+    std::uint32_t window_start = 0;
+  };
+  CacheGeometry geometry_;
+  SetAffinityMode mode_;
+  std::unordered_map<std::uint64_t, State> sets_;
+  SetAffinityResult result_;
+};
+
+class SetAffinityDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<std::uint32_t, SetAffinityMode>> {
+};
+
+// Many short invocations through one reused analyzer: every finish() must
+// leave it as fresh as a new one, so stale rows of sets touched by an earlier
+// invocation can never leak blocks, counts or saturation into a later one.
+TEST_P(SetAffinityDifferentialTest, ReusedAnalyzerMatchesHashSetReference) {
+  const auto [ways, mode] = GetParam();
+  const CacheGeometry g(std::uint64_t{64} * ways * 16, ways, 64);  // 16 sets
+  SetAffinityAnalyzer analyzer(g, mode);
+  ReferenceSetAffinity ref(g, mode);
+  Xoshiro256 rng(ways * 7919 + static_cast<std::uint64_t>(mode));
+  std::uint64_t samples = 0;
+  for (int inv = 0; inv < 300; ++inv) {
+    // Some invocations saturate many sets, some touch a handful of blocks.
+    const std::uint64_t length = rng.below(4) == 0 ? rng.below(8)
+                                                   : rng.below(40 * ways);
+    const std::uint64_t universe =
+        g.num_sets() * ways * (1 + rng.below(3));
+    std::uint32_t iter = 0;
+    for (std::uint64_t i = 0; i < length; ++i) {
+      if (rng.below(4) == 0) iter += 1 + static_cast<std::uint32_t>(rng.below(3));
+      const Addr addr = rng.below(universe) * g.line_bytes() + rng.below(64);
+      ASSERT_EQ(analyzer.observe(addr, iter), ref.observe(addr, iter))
+          << "invocation " << inv << " access " << i;
+    }
+    const SetAffinityResult got = analyzer.finish();
+    const SetAffinityResult want = ref.finish();
+    ASSERT_EQ(got.samples, want.samples) << "invocation " << inv;
+    ASSERT_EQ(got.per_set, want.per_set) << "invocation " << inv;
+    ASSERT_EQ(got.touched_sets, want.touched_sets) << "invocation " << inv;
+    ASSERT_EQ(got.accesses, want.accesses) << "invocation " << inv;
+    ASSERT_EQ(got.outer_iterations, want.outer_iterations)
+        << "invocation " << inv;
+    samples += got.samples.size();
+  }
+  EXPECT_GT(samples, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WaysAndModes, SetAffinityDifferentialTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 16u, 64u),
+                       ::testing::Values(SetAffinityMode::kFirstSaturation,
+                                         SetAffinityMode::kRecurrent)),
+    [](const auto& param_info) {
+      return "ways" + std::to_string(std::get<0>(param_info.param)) +
+             (std::get<1>(param_info.param) == SetAffinityMode::kRecurrent
+                  ? "_recurrent"
+                  : "_first");
+    });
 
 TEST(BurstSamplingTest, KeepsBurstsSkipsIntervals) {
   TraceBuffer t;
