@@ -6,29 +6,18 @@
 //   materialize  — em3d_ir trace emission (IR interpretation against
 //                  VirtualMemory), in IR memory ops per second;
 //   replay       — one SP sweep cell over the em3d_ir trace through a
-//                  reusable ExperimentContext (the batched engine), in trace
-//                  accesses per second; this is the acceptance metric for the
-//                  hot-path work. The cell is timed on both helper paths,
-//                  interleaved per rep: fused (helper synthesized inside
-//                  replay through the cursor window, streaming_cores on — the
-//                  default) and materialized (helper scratch built per cell —
-//                  the reference). The fused reps are held to zero
-//                  trace-record allocations via trace_hooks, and every run's
-//                  sp runtime is cross-checked equal. A single
-//                  record-at-a-time pass is also timed
-//                  ("replay_scalar_accesses_per_sec") and its runtime
-//                  cross-checked against the batched engine's;
-//   distance_bound_refine — refine_with_helper over the em3d_ir trace, the
-//                  materializing reference vs the streaming TraceCursor
-//                  pipeline (both bounds cross-checked equal); the speedup is
-//                  the acceptance metric for the zero-copy trace work;
+//                  reusable ExperimentContext (helper synthesized inside
+//                  replay through the cursor window), in trace accesses per
+//                  second; this is the acceptance metric for the hot-path
+//                  work. The reps are held to zero trace-record allocations
+//                  via trace_hooks;
+//   distance_bound_refine — refine_with_helper over the em3d_ir trace (the
+//                  streaming TraceCursor pipeline);
+//   adaptive     — interval-chunked replay, cold vs warm intervals, held to
+//                  zero trace-record allocations;
 //   sweep        — a small orchestrated 3-workload grid, in cells/second,
 //                  through a shared ExperimentContextPool whose trace-memo
 //                  hit rate is reported alongside;
-//   sweep fused/materialized — the same grid replayed memo-warm with
-//                  SweepOptions::streaming_cores on vs off (interleaved per
-//                  rep), artifacts cross-checked byte-identical; the ratio is
-//                  the sweep-level win of fusing helper synthesis into replay;
 //   telemetry    — the same grid replayed memo-warm with the spf::telemetry
 //                  session uninstalled vs installed, interleaved per rep; the
 //                  overhead is the *median of per-rep on/off ratios* (clamped
@@ -41,6 +30,9 @@
 //                  median-of-ratios, clamped at 0); lifecycle tracking is an
 //                  observer, so both sides' tables are cross-checked
 //                  byte-identical to the baseline sweep's.
+//
+// Every rep of the replay cell and the refinement must reproduce the first
+// rep's result (replay_checksum, refine_checksum); a difference exits 1.
 //
 // Flags: --quick (CI smoke: small inputs, one rep; the telemetry and
 // provenance A/Bs still run five pairs), --out=PATH (default
@@ -105,73 +97,43 @@ int main(int argc, char** argv) {
   const TraceBuffer& trace = interp.trace;
 
   // ---- replay: one SP sweep cell over the em3d_ir trace ------------------
-  // Fused vs materialized helper synthesis, interleaved per rep so clock
-  // drift and frequency steps hit both sides equally.
-  SpExperimentConfig cell_cfg;  // streaming_cores defaults on = fused
+  SpExperimentConfig cell_cfg;
   cell_cfg.sim.l2 = scale.l2;
   cell_cfg.params = SpParams::from_distance_rp(16, 0.5);
-  SpExperimentConfig mat_cfg = cell_cfg;
-  mat_cfg.sim.streaming_cores = false;
   // The context lives outside the timed region: what a sweep worker amortizes
-  // (simulator construction, helper-trace scratch) is setup, not replay.
-  // One untimed warm-up of each path brings it to that steady state — in
-  // particular the materialized path's helper scratch reaches full capacity
-  // here, so the timed region is allocation-free on both sides.
+  // (simulator construction, cache arrays) is setup, not replay. One untimed
+  // warm-up brings it to that steady state.
   ExperimentContext replay_ctx;
-  const SpRunSummary warm_fused = replay_ctx.run_sp_once(trace, cell_cfg);
-  const SpRunSummary warm_mat = replay_ctx.run_sp_once(trace, mat_cfg);
-  if (warm_fused.runtime != warm_mat.runtime) {
-    std::cerr << "perf_smoke: helper-path mismatch (fused " << warm_fused.runtime
-              << " vs materialized " << warm_mat.runtime << ")\n";
-    return 1;
-  }
-  double replay_sec = 0.0;      // fused (the acceptance path)
-  double replay_mat_sec = 0.0;  // materialized reference
+  (void)replay_ctx.run_sp_once(trace, cell_cfg);
+  double replay_sec = 0.0;
   std::uint64_t replayed = 0;
   std::uint64_t replay_checksum = 0;
-  std::uint64_t sp_runtime = 0;
   std::uint64_t fused_record_allocs = 0;
   for (unsigned r = 0; r < reps; ++r) {
     const std::uint64_t allocs_before = trace_hooks::record_allocations();
-    const auto t_fused = Clock::now();
+    const auto t0 = Clock::now();
     const SpRunSummary sp = replay_ctx.run_sp_once(trace, cell_cfg);
-    replay_sec += seconds_since(t_fused);
+    replay_sec += seconds_since(t0);
     fused_record_allocs += trace_hooks::record_allocations() - allocs_before;
     replayed += trace.size();
-    sp_runtime = sp.runtime;
-    replay_checksum ^= sp.runtime;  // defeat dead-code elimination
-
-    const auto t_mat = Clock::now();
-    const SpRunSummary mat_sp = replay_ctx.run_sp_once(trace, mat_cfg);
-    replay_mat_sec += seconds_since(t_mat);
-    if (mat_sp.runtime != sp.runtime) {
-      std::cerr << "perf_smoke: helper-path mismatch (fused " << sp.runtime
-                << " vs materialized " << mat_sp.runtime << ")\n";
+    if (r == 0) {
+      replay_checksum = sp.runtime;
+    } else if (sp.runtime != replay_checksum) {
+      std::cerr << "perf_smoke: replay is not deterministic (rep 0 runtime "
+                << replay_checksum << " vs rep " << r << " " << sp.runtime
+                << ")\n";
       return 1;
     }
   }
-  // The fused path's contract: helper records are synthesized through the
-  // fixed ring window, never stored — zero trace-record allocations.
+  // The helper records are synthesized through the fixed ring window, never
+  // stored — zero trace-record allocations.
   if (fused_record_allocs != 0) {
     std::cerr << "perf_smoke: fused replay grew trace-record storage "
               << fused_record_allocs << " times (contract: 0)\n";
     return 1;
   }
 
-  // One pass through the record-at-a-time reference engine: reports the
-  // engine-vs-engine rate and hard-checks that both produce the same cell.
-  SpExperimentConfig scalar_cfg = cell_cfg;
-  scalar_cfg.sim.batched_replay = false;
-  const auto t_scalar = Clock::now();
-  const SpRunSummary scalar_sp = replay_ctx.run_sp_once(trace, scalar_cfg);
-  const double scalar_sec = seconds_since(t_scalar);
-  if (scalar_sp.runtime != sp_runtime) {
-    std::cerr << "perf_smoke: engine mismatch (batched " << sp_runtime
-              << " vs scalar " << scalar_sp.runtime << ")\n";
-    return 1;
-  }
-
-  // ---- distance_bound_refine: materialized vs streaming refinement -------
+  // ---- distance_bound_refine: the streaming refinement --------------------
   // The quick trace is small, so pair it with a small L2 the way the quick
   // sweep grid does (the Set-Affinity derivation needs saturated sets).
   const CacheGeometry refine_geo =
@@ -180,31 +142,22 @@ int main(int argc, char** argv) {
   const DistanceBound base_bound =
       estimate_distance_bound(trace, refine_starts, refine_geo);
   const SpParams refine_params = SpParams::from_distance_rp(16, 0.5);
-  double refine_mat_sec = 0.0;
-  double refine_stream_sec = 0.0;
+  double refine_sec = 0.0;
   std::uint64_t refine_checksum = 0;
   for (unsigned r = 0; r < reps; ++r) {
-    const auto t_mat = Clock::now();
-    const DistanceBound mat = refine_with_helper(
-        base_bound, trace, refine_starts, refine_params, refine_geo,
-        DistanceBoundOptions{.streaming_refine = false});
-    refine_mat_sec += seconds_since(t_mat);
-
-    const auto t_stream = Clock::now();
-    const DistanceBound stream = refine_with_helper(
-        base_bound, trace, refine_starts, refine_params, refine_geo,
-        DistanceBoundOptions{.streaming_refine = true});
-    refine_stream_sec += seconds_since(t_stream);
-
-    if (mat.upper_limit != stream.upper_limit ||
-        mat.with_helper_min_sa != stream.with_helper_min_sa) {
-      std::cerr << "perf_smoke: refinement mismatch (materialized limit "
-                << mat.upper_limit << " vs streaming " << stream.upper_limit
-                << ")\n";
+    const auto t0 = Clock::now();
+    const DistanceBound refined = refine_with_helper(
+        base_bound, trace, refine_starts, refine_params, refine_geo);
+    refine_sec += seconds_since(t0);
+    const std::uint64_t sum =
+        refined.upper_limit + refined.with_helper_min_sa.value_or(0);
+    if (r == 0) {
+      refine_checksum = sum;
+    } else if (sum != refine_checksum) {
+      std::cerr << "perf_smoke: refinement is not deterministic (rep 0 "
+                << refine_checksum << " vs rep " << r << " " << sum << ")\n";
       return 1;
     }
-    refine_checksum ^=
-        stream.upper_limit + stream.with_helper_min_sa.value_or(0);
   }
 
   // ---- adaptive: interval-chunked replay, cold vs warm intervals ---------
@@ -285,35 +238,6 @@ int main(int argc, char** argv) {
   }
 
   const std::string sweep_csv = sweep.to_csv();
-
-  // ---- fused vs materialized helper synthesis on the memo-warm grid ------
-  // The sweep above already emitted every workload trace into the shared
-  // pool, so both variants replay memo-warm and differ only in whether
-  // helper streams are synthesized inside replay (streaming_cores on) or
-  // materialized per cell (off). Interleaved per rep; artifacts must stay
-  // byte-identical.
-  orchestrate::SweepOptions mat_opts = opts;
-  mat_opts.streaming_cores = false;
-  double sweep_fused_sec = 0.0;
-  double sweep_mat_sec = 0.0;
-  for (unsigned r = 0; r < reps; ++r) {
-    auto t_fused = Clock::now();
-    const orchestrate::SweepResult fused = orchestrate::run_sweep(spec, opts);
-    sweep_fused_sec += seconds_since(t_fused);
-    auto t_mat = Clock::now();
-    const orchestrate::SweepResult mat = orchestrate::run_sweep(spec, mat_opts);
-    sweep_mat_sec += seconds_since(t_mat);
-    if (fused.failed_count() != 0 || mat.failed_count() != 0) {
-      std::cerr << "perf_smoke: fused/materialized A/B sweep cells failed\n";
-      return 1;
-    }
-    if (fused.to_csv() != sweep_csv || mat.to_csv() != sweep_csv) {
-      std::cerr << "perf_smoke: sweep artifact changed across helper paths\n";
-      return 1;
-    }
-  }
-  const double sweep_fused_speedup =
-      sweep_fused_sec > 0 ? sweep_mat_sec / sweep_fused_sec : 0.0;
 
   // ---- telemetry overhead: the same grid, memo-warm, off vs on -----------
   // Off/on runs are interleaved per rep and the overhead is the median of
@@ -415,16 +339,8 @@ int main(int argc, char** argv) {
       materialize_sec > 0 ? static_cast<double>(ir_ops) / materialize_sec : 0;
   const double replay_acc_s =
       replay_sec > 0 ? static_cast<double>(replayed) / replay_sec : 0;
-  const double replay_scalar_acc_s =
-      scalar_sec > 0 ? static_cast<double>(trace.size()) / scalar_sec : 0;
   const double cells_s =
       sweep_sec > 0 ? static_cast<double>(sweep.cells.size()) / sweep_sec : 0;
-  const double refine_speedup =
-      refine_stream_sec > 0 ? refine_mat_sec / refine_stream_sec : 0;
-  const double replay_fused_speedup =
-      replay_sec > 0 ? replay_mat_sec / replay_sec : 0;
-  const double n_sweep_cells_d =
-      static_cast<double>(sweep.cells.size()) * reps;
   const ExperimentContextPool::TraceMemoStats memo = pool->trace_memo_stats();
 
   JsonObject obj;
@@ -438,16 +354,9 @@ int main(int argc, char** argv) {
       .add("materialize_ir_ops_per_sec", materialize_ops_s)
       .add("materialize_sec", materialize_sec / reps)
       .add("replay_accesses_per_sec", replay_acc_s)
-      .add("replay_batched", replay_acc_s)
-      .add("replay_scalar_accesses_per_sec", replay_scalar_acc_s)
       .add("replay_sec_per_cell", replay_sec / reps)
-      .add("replay_fused_sec_per_cell", replay_sec / reps)
-      .add("replay_materialized_sec_per_cell", replay_mat_sec / reps)
-      .add("replay_fused_speedup", replay_fused_speedup)
       .add("replay_fused_record_allocations", fused_record_allocs)
-      .add("refine_materialized_sec", refine_mat_sec / reps)
-      .add("refine_streaming_sec", refine_stream_sec / reps)
-      .add("distance_bound_refine_speedup", refine_speedup)
+      .add("refine_streaming_sec", refine_sec / reps)
       .add("refine_upper_limit", base_bound.upper_limit)
       .add("adaptive_sec", adaptive_sec / reps)
       .add("adaptive_warm_sec", adaptive_warm_sec / reps)
@@ -464,11 +373,6 @@ int main(int argc, char** argv) {
       .add("sweep_trace_memo_hits", memo.hits)
       .add("sweep_trace_memo_misses", memo.misses)
       .add("sweep_trace_memo_hit_rate", memo.hit_rate())
-      .add("sweep_fused_sec_per_cell",
-           n_sweep_cells_d > 0 ? sweep_fused_sec / n_sweep_cells_d : 0.0)
-      .add("sweep_materialized_sec_per_cell",
-           n_sweep_cells_d > 0 ? sweep_mat_sec / n_sweep_cells_d : 0.0)
-      .add("sweep_fused_speedup", sweep_fused_speedup)
       .add("sweep_telemetry_off_sec", sweep_off_sec)
       .add("sweep_telemetry_on_sec", sweep_on_sec)
       .add("telemetry_overhead_pct", telemetry_overhead_pct)

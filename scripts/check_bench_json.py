@@ -53,13 +53,9 @@ checks, per file:
     downstream plotting script;
   * rate fields (ops/s, accesses/s, cells/s) and per-phase timings are
     finite and strictly positive — a zero rate means a timer never ran;
-  * speedup ratios are finite and positive (they are A/B ratios of
-    measured times, so any sign or zero is an emitter bug; they are NOT
-    required to exceed 1.0 — see docs/simulator.md "Cursor-fed cores &
-    the peek window" for why fused replay is a parity result);
-  * the fused replay path performed zero trace-record allocations
-    (`replay_fused_record_allocations == 0`) — the ISSUE 7 contract,
-    via the trace_hooks::record_allocations hook;
+  * the replay cell performed zero trace-record allocations
+    (`replay_fused_record_allocations == 0`: the helper is synthesized
+    inside replay), via the trace_hooks::record_allocations hook;
   * the adaptive interval replay honored its contracts: a non-empty
     distance trajectory (`adaptive_trajectory_len > 0`), a final
     distance within the controller's cap
@@ -101,16 +97,9 @@ REQUIRED = {
     "materialize_ir_ops_per_sec": NUMBER,
     "materialize_sec": NUMBER,
     "replay_accesses_per_sec": NUMBER,
-    "replay_batched": NUMBER,
-    "replay_scalar_accesses_per_sec": NUMBER,
     "replay_sec_per_cell": NUMBER,
-    "replay_fused_sec_per_cell": NUMBER,
-    "replay_materialized_sec_per_cell": NUMBER,
-    "replay_fused_speedup": NUMBER,
     "replay_fused_record_allocations": int,
-    "refine_materialized_sec": NUMBER,
     "refine_streaming_sec": NUMBER,
-    "distance_bound_refine_speedup": NUMBER,
     "refine_upper_limit": int,
     "adaptive_sec": NUMBER,
     "adaptive_warm_sec": NUMBER,
@@ -126,9 +115,6 @@ REQUIRED = {
     "sweep_trace_memo_hits": int,
     "sweep_trace_memo_misses": int,
     "sweep_trace_memo_hit_rate": NUMBER,
-    "sweep_fused_sec_per_cell": NUMBER,
-    "sweep_materialized_sec_per_cell": NUMBER,
-    "sweep_fused_speedup": NUMBER,
     "sweep_telemetry_off_sec": NUMBER,
     "sweep_telemetry_on_sec": NUMBER,
     "telemetry_overhead_pct": NUMBER,
@@ -145,14 +131,8 @@ STRICTLY_POSITIVE = [
     "materialize_ir_ops_per_sec",
     "materialize_sec",
     "replay_accesses_per_sec",
-    "replay_scalar_accesses_per_sec",
     "replay_sec_per_cell",
-    "replay_fused_sec_per_cell",
-    "replay_materialized_sec_per_cell",
-    "replay_fused_speedup",
-    "refine_materialized_sec",
     "refine_streaming_sec",
-    "distance_bound_refine_speedup",
     "adaptive_sec",
     "adaptive_warm_sec",
     "adaptive_intervals",
@@ -162,9 +142,6 @@ STRICTLY_POSITIVE = [
     "sweep_cells_per_sec",
     "sweep_sec",
     "sweep_trace_memo_hits",
-    "sweep_fused_sec_per_cell",
-    "sweep_materialized_sec_per_cell",
-    "sweep_fused_speedup",
     "sweep_telemetry_off_sec",
     "sweep_telemetry_on_sec",
     "sweep_provenance_off_sec",
@@ -294,7 +271,6 @@ def check_file(path):
     if ok:
         print(
             f"{path}: OK ({len(REQUIRED)} keys, "
-            f"fused speedup {doc['replay_fused_speedup']:.3f}, "
             f"telemetry overhead {pct:.2f}%)"
         )
     return ok

@@ -38,7 +38,6 @@ import sys
 KEY_METRICS = (
     "materialize_ir_ops_per_sec",
     "replay_accesses_per_sec",
-    "replay_scalar_accesses_per_sec",
     "sweep_cells_per_sec",
 )
 DEFAULT_WINDOW = 8

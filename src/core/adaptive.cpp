@@ -238,12 +238,8 @@ AdaptiveRunResult ExperimentContext::run_adaptive(
     const SimResult sim =
         warm ? simulator_.run_warm(streams) : simulator_.run(cfg.sim, streams);
 
-    const std::uint64_t synthesized = helper_feed_->records_served();
-    telemetry::count(telemetry::Counter::kHelperRecords, synthesized);
-    telemetry::count(telemetry::Counter::kHelperRecordsSynthesized,
-                     synthesized);
-    telemetry::count(telemetry::Counter::kHelperScratchBytesSaved,
-                     synthesized * sizeof(TraceRecord));
+    telemetry::count(telemetry::Counter::kHelperRecords,
+                     helper_feed_->records_served());
 
     const SpRunSummary summary = SpRunSummary::from(sim);
     if (summary.provenance.enabled && telemetry::enabled()) {

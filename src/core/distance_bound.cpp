@@ -38,7 +38,7 @@ DistanceBound estimate_distance_bound(
 DistanceBound refine_with_helper(
     const DistanceBound& bound, const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts, const SpParams& params,
-    const CacheGeometry& l2, const DistanceBoundOptions& options) {
+    const CacheGeometry& l2) {
   SPF_SPAN("refine");
   telemetry::count(telemetry::Counter::kRefineRuns);
   // The paper's "Set Affinity with Helper Thread" is measured over the
@@ -47,25 +47,14 @@ DistanceBound refine_with_helper(
   // hit the shared cache: the helper touches a pre-executed iteration's data
   // while the main thread is still ~A_SKI iterations behind, so the combined
   // stream reflects the doubled per-set pressure the
-  // "Set Affinity with Helper Thread <= Original/2" formula captures.
-  WorkloadSaResult sa;
-  if (options.streaming_refine) {
-    // Zero-copy path: the helper view and the merge are lazy cursor
-    // adaptors; no trace record is ever stored.
-    MergeByIterCursor combined(
-        TraceViewCursor(main_trace),
-        HelperViewCursor(main_trace, params, {}, /*re_anchor=*/true));
-    sa = analyze_workload_sa(combined, invocation_starts, l2);
-  } else {
-    // Reference path: materialize helper and merged streams.
-    TraceBuffer helper = make_helper_trace(main_trace, params);
-    for (TraceRecord& r : helper.mutable_records()) {
-      r.outer_iter =
-          r.outer_iter >= params.a_ski ? r.outer_iter - params.a_ski : 0;
-    }
-    const TraceBuffer combined = merge_traces_by_iter(main_trace, helper);
-    sa = analyze_workload_sa(combined, invocation_starts, l2);
-  }
+  // "Set Affinity with Helper Thread <= Original/2" formula captures. The
+  // helper view and the merge are lazy cursor adaptors: no trace record is
+  // ever stored.
+  MergeByIterCursor combined(
+      TraceViewCursor(main_trace),
+      HelperViewCursor(main_trace, params, {}, /*re_anchor=*/true));
+  const WorkloadSaResult sa =
+      analyze_workload_sa(combined, invocation_starts, l2);
   DistanceBound refined = bound;
   if (sa.merged.any_saturated()) {
     refined.with_helper_min_sa = sa.merged.min_sa();
@@ -155,30 +144,18 @@ PhasedDistanceBound estimate_phase_bounds(
 PhasedDistanceBound refine_phase_bounds(
     const PhasedDistanceBound& bound, const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts, const SpParams& params,
-    const CacheGeometry& l2, const DistanceBoundOptions& options) {
+    const CacheGeometry& l2, const PhaseAffinityConfig& config) {
   SPF_SPAN("phase-refine");
   telemetry::count(telemetry::Counter::kRefineRuns);
   telemetry::count(telemetry::Counter::kPhaseAnalyses);
   // Same combined main+helper reference stream as refine_with_helper (see
   // the re-anchoring rationale there); the phases are detected on that
   // merged stream, so a phase's cap reflects the helper pressure *inside* it.
-  PhasedSaResult sa;
-  if (options.streaming_refine) {
-    MergeByIterCursor combined(
-        TraceViewCursor(main_trace),
-        HelperViewCursor(main_trace, params, {}, /*re_anchor=*/true));
-    sa = analyze_workload_sa_phased(combined, invocation_starts, l2,
-                                    options.phase);
-  } else {
-    TraceBuffer helper = make_helper_trace(main_trace, params);
-    for (TraceRecord& r : helper.mutable_records()) {
-      r.outer_iter =
-          r.outer_iter >= params.a_ski ? r.outer_iter - params.a_ski : 0;
-    }
-    const TraceBuffer combined = merge_traces_by_iter(main_trace, helper);
-    sa = analyze_workload_sa_phased(combined, invocation_starts, l2,
-                                    options.phase);
-  }
+  MergeByIterCursor combined(
+      TraceViewCursor(main_trace),
+      HelperViewCursor(main_trace, params, {}, /*re_anchor=*/true));
+  const PhasedSaResult sa =
+      analyze_workload_sa_phased(combined, invocation_starts, l2, config);
   telemetry::count(telemetry::Counter::kAffinityPhases, sa.phases.size());
   PhasedDistanceBound refined;
   refined.whole = bound.whole;

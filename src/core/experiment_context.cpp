@@ -30,48 +30,21 @@ SpRunSummary ExperimentContext::run_sp_once(const TraceBuffer& main_trace,
   telemetry::count(telemetry::Counter::kReplayRuns);
   telemetry::count(telemetry::Counter::kReplayRecords, main_trace.size());
   const RoundSync sync{.leader = 0, .round_iters = config.params.round()};
-  SimResult result;
-  if (config.sim.streaming_cores) {
-    // Fused path: the helper core pulls its records through a
-    // HelperViewCursor window *during* replay, so helper synthesis is part of
-    // this span (no separate helper-gen phase) and the helper scratch is
-    // never written.
-    helper_feed_.emplace(
-        HelperViewCursor(main_trace, config.params, config.helper));
-    result = simulator_.run(
-        config.sim,
-        {
-            CoreStream{.trace = &main_trace, .origin = FillOrigin::kDemand,
-                       .sync = std::nullopt},
-            CoreStream{.source = &*helper_feed_,
-                       .origin = FillOrigin::kHelper, .sync = sync},
-        });
-    const std::uint64_t synthesized = helper_feed_->records_served();
-    telemetry::count(telemetry::Counter::kHelperRecords, synthesized);
-    telemetry::count(telemetry::Counter::kHelperRecordsSynthesized,
-                     synthesized);
-    telemetry::count(telemetry::Counter::kHelperScratchBytesSaved,
-                     synthesized * sizeof(TraceRecord));
-  } else {
-    // Materialized reference: generate the helper trace up front, then feed
-    // it as an ordinary buffer stream (the pre-fusion pipeline, pinned
-    // bit-identical by tests/sim_stream_differential_test.cpp).
-    {
-      SPF_SPAN("helper-gen");
-      make_helper_trace_into(main_trace, config.params, config.helper,
-                             helper_scratch_);
-    }
-    telemetry::count(telemetry::Counter::kHelperRecords,
-                     helper_scratch_.size());
-    result = simulator_.run(
-        config.sim,
-        {
-            CoreStream{.trace = &main_trace, .origin = FillOrigin::kDemand,
-                       .sync = std::nullopt},
-            CoreStream{.trace = &helper_scratch_,
-                       .origin = FillOrigin::kHelper, .sync = sync},
-        });
-  }
+  // The helper core pulls its records through a HelperViewCursor window
+  // *during* replay, so helper synthesis is part of this span (no separate
+  // helper-gen phase) and no helper trace is ever stored.
+  helper_feed_.emplace(
+      HelperViewCursor(main_trace, config.params, config.helper));
+  const SimResult result = simulator_.run(
+      config.sim,
+      {
+          CoreStream{.trace = &main_trace, .origin = FillOrigin::kDemand,
+                     .sync = std::nullopt},
+          CoreStream{.source = &*helper_feed_, .origin = FillOrigin::kHelper,
+                     .sync = sync},
+      });
+  telemetry::count(telemetry::Counter::kHelperRecords,
+                   helper_feed_->records_served());
   telemetry::gauge_max(telemetry::Gauge::kArenaBytesMax, arena_.bytes_served());
   return SpRunSummary::from(result);
 }

@@ -46,28 +46,14 @@ struct DistanceBound {
     const std::vector<std::uint32_t>& invocation_starts,
     const CacheGeometry& l2);
 
-struct DistanceBoundOptions {
-  /// Stream the helper view and the merged main+helper stream through
-  /// TraceCursor adaptors (HelperViewCursor + MergeByIterCursor): the
-  /// refinement then performs no trace-record allocations. The materializing
-  /// path (make_helper_trace + an explicit re-anchor pass +
-  /// merge_traces_by_iter) remains as the reference implementation — the flag
-  /// exists so the differential harness can pin one path against the other
-  /// (mirroring SimConfig::batched_replay), not as a behaviour knob.
-  bool streaming_refine = true;
-  /// Windowing/hysteresis knobs for the phased analyses
-  /// (estimate_phase_bounds / refine_phase_bounds) — the whole-run functions
-  /// above ignore it.
-  PhaseAffinityConfig phase{};
-};
-
 /// Refines the bound by measuring Set Affinity with Helper Thread directly:
-/// synthesizes the helper stream for `params` (lazily by default, see
-/// DistanceBoundOptions), merges it with the main stream, and re-analyzes.
+/// streams the helper view for `params` (HelperViewCursor, re-anchored)
+/// merged with the main stream (MergeByIterCursor) through the analysis —
+/// zero trace-record allocations.
 [[nodiscard]] DistanceBound refine_with_helper(
     const DistanceBound& bound, const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts, const SpParams& params,
-    const CacheGeometry& l2, const DistanceBoundOptions& options = {});
+    const CacheGeometry& l2);
 
 // ---- per-phase bounds (phase-incremental analyzer) -----------------------
 //
@@ -118,13 +104,12 @@ struct PhasedDistanceBound {
     const std::vector<std::uint32_t>& invocation_starts, const CacheGeometry& l2,
     const PhaseAffinityConfig& config = {});
 
-/// Phased analogue of refine_with_helper: phases are detected on the merged
-/// main+helper stream (streamed through the cursor adaptors by default, zero
-/// trace-record allocations); each phase's cap is
-/// max(1, min(phase_with_helper_min_sa, original_min_sa / 2)).
+/// Phased analogue of refine_with_helper: phases are detected on the same
+/// streamed main+helper merge (zero trace-record allocations); each phase's
+/// cap is max(1, min(phase_with_helper_min_sa, original_min_sa / 2)).
 [[nodiscard]] PhasedDistanceBound refine_phase_bounds(
     const PhasedDistanceBound& bound, const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts, const SpParams& params,
-    const CacheGeometry& l2, const DistanceBoundOptions& options = {});
+    const CacheGeometry& l2, const PhaseAffinityConfig& config = {});
 
 }  // namespace spf

@@ -1,10 +1,10 @@
 // Reusable experiment execution state.
 //
 // The free functions in spf/core/experiment.hpp are pure: each call builds a
-// private CmpSimulator, synthesizes a fresh helper trace, and tears both down.
-// That is the right *semantic* contract, but under sweep fan-out — thousands
-// of cells per worker — construction cost (cache arrays, helper trace,
-// replacement state) dominates everything except replay itself.
+// private CmpSimulator, replays, and tears it down. That is the right
+// *semantic* contract, but under sweep fan-out — thousands of cells per
+// worker — construction cost (cache arrays, replacement state) dominates
+// everything except replay itself.
 //
 // ExperimentContext keeps that state alive between runs:
 //
@@ -13,14 +13,12 @@
 //   - one bump Arena backing the simulator's cache arrays (released wholesale
 //     when the context dies, never per cell);
 //   - a fixed-ring helper feed (CursorWindowSource<HelperViewCursor>) that
-//     synthesizes the helper stream *inside* replay on the default
-//     streaming_cores path — plus one helper-trace TraceBuffer scratch,
-//     refilled by make_helper_trace_into only on the materialized reference
-//     path (SimConfig::streaming_cores off).
+//     synthesizes the helper stream *inside* replay, so no helper trace is
+//     ever materialized.
 //
 // Results are bit-identical to the free functions — every reset seam is
 // specified "as-if freshly constructed", and the golden-sweep and replay
-// differential tests pin that equivalence.
+// differential tests (against tests/replay_oracle.hpp) pin that equivalence.
 //
 // Re-entrancy: a context is single-threaded (no internal locking). For
 // concurrent sweeps, give each worker its own context — ExperimentContextPool
@@ -99,10 +97,6 @@ class ExperimentContext {
 
   Arena arena_;
   CmpSimulator simulator_;
-  /// Materialized helper trace — written only on the reference path
-  /// (SimConfig::streaming_cores off). The default fused path never touches
-  /// it: the helper core pulls records through helper_feed_ instead.
-  TraceBuffer helper_scratch_;
   /// Fused helper synthesis: a HelperViewCursor over the (memo-shared) main
   /// trace, windowed for the simulator's pull seam. Rebuilt per SP run
   /// (cheap: fixed ring storage, no allocation); optional because the cursor
@@ -111,7 +105,7 @@ class ExperimentContext {
       helper_feed_;
   /// Adaptive interval replay's demand-core feed: a RebaseViewCursor over the
   /// current trace segment, windowed like the helper feed. Only run_adaptive
-  /// touches it (the plain SP paths index the materialized trace directly).
+  /// touches it (the plain SP paths feed the main trace as one window).
   std::optional<CursorWindowSource<RebaseViewCursor, kHelperFeedWindow>>
       main_feed_;
 };

@@ -18,18 +18,15 @@
 // skip). Optionally delinquent loads become non-binding prefetch
 // instructions instead (ablation: prefetch-instruction helper).
 //
-// Two implementations of the transform exist and are pinned equivalent by
-// tests/trace_cursor_property_test.cpp:
-//
-//   * make_helper_trace / make_helper_trace_into — materialize the helper
-//     stream into a TraceBuffer (the reference implementation);
-//   * HelperViewCursor — a lazy TraceCursor view that applies the same
-//     per-record transform while streaming over the main trace, allocating
-//     no record storage. It also satisfies BulkTraceCursor (fill() writes a
-//     whole window in one flat loop), so it feeds both the distance-bound
-//     refinement (spf/core/distance_bound.hpp) and the simulator's helper
-//     core via CursorWindowSource (docs/simulator.md "Cursor-fed cores &
-//     the peek window"); the materialized path survives as the reference.
+// The transform is HelperViewCursor: a lazy TraceCursor view that applies
+// it per record while streaming over the main trace, allocating no record
+// storage. It also satisfies BulkTraceCursor (fill() writes a whole window in
+// one flat loop), so it feeds both the distance-bound refinement
+// (spf/core/distance_bound.hpp) and the simulator's helper core via
+// CursorWindowSource (docs/simulator.md "Cursor-fed cores & the peek
+// window"). make_helper_trace drains it into a TraceBuffer for callers that
+// want the stream materialized. tests/trace_cursor_property_test.cpp pins the
+// cursor against the materializing generator in tests/replay_oracle.hpp.
 #pragma once
 
 #include <cstdint>
@@ -51,41 +48,13 @@ struct HelperGenOptions {
   std::uint16_t helper_compute_gap = 0;
 };
 
-/// Synthesizes the helper thread's access stream from the main thread's hot
-/// loop trace. outer_iter values are preserved (the simulator's RoundSync
-/// staggers the two streams per round).
-[[nodiscard]] TraceBuffer make_helper_trace(const TraceBuffer& main_trace,
-                                            const SpParams& params,
-                                            const HelperGenOptions& options = {});
-
-/// Allocation-reusing variant: clears `out` and synthesizes the helper
-/// stream into it (ExperimentContext's scratch path). Same output as
-/// make_helper_trace.
-void make_helper_trace_into(const TraceBuffer& main_trace,
-                            const SpParams& params,
-                            const HelperGenOptions& options, TraceBuffer& out);
-
-/// Merges two traces into one stream ordered by outer_iter. Used to measure
-/// "Set Affinity with Helper Thread" over the combined reference stream of
-/// both data access entities.
-///
-/// Tie-break contract (relied on by MergeByIterCursor, which must reproduce
-/// this stream record-for-record without materializing it): at every step the
-/// head of `a` is taken iff `b` is exhausted or `a.outer_iter <= b.outer_iter`
-/// — i.e. on equal outer_iter the `a`-side record is emitted first, and
-/// records of the same input always keep their relative order. For inputs
-/// sorted by outer_iter this is the stable two-way merge of the combined
-/// stream keyed on (outer_iter, input index).
-[[nodiscard]] TraceBuffer merge_traces_by_iter(const TraceBuffer& a,
-                                               const TraceBuffer& b);
-
 /// Lazy TraceCursor over the helper thread's access stream: streams the main
-/// trace and applies make_helper_trace's skip/pre-execute transform per
-/// record, storing nothing. Optionally re-anchors kept records to the main-
-/// thread iteration at which they hit the shared cache
-/// (outer_iter -> max(outer_iter - A_SKI, 0)), the transform
-/// refine_with_helper otherwise applies with a mutation pass over a
-/// materialized helper buffer.
+/// trace and applies the skip/pre-execute transform per record, storing
+/// nothing. outer_iter values are preserved (the simulator's RoundSync
+/// staggers the two streams per round). Optionally re-anchors kept records to
+/// the main-thread iteration at which they hit the shared cache
+/// (outer_iter -> max(outer_iter - A_SKI, 0)), the view refine_with_helper
+/// merges with the main stream.
 ///
 /// The view borrows the main trace's storage; the buffer must outlive the
 /// cursor.
@@ -133,7 +102,7 @@ class HelperViewCursor {
   /// count written. Observationally equivalent to repeated
   /// {current(), advance()} — the scan runs as one flat loop straight into
   /// the destination, which is how the simulator's window source pulls the
-  /// helper stream at the materialized generator's cost without the scratch.
+  /// helper stream without a scratch buffer.
   std::size_t fill(TraceRecord* dst, std::size_t cap) {
     if (cap == 0 || done()) return 0;
     std::size_t n = 0;
@@ -149,8 +118,9 @@ class HelperViewCursor {
   }
 
  private:
-  /// The skip/pre-execute predicate of make_helper_trace_into, including its
-  /// per-iteration round-position memoization (last_outer_/last_pos_).
+  /// The skip/pre-execute predicate. Records arrive grouped by outer
+  /// iteration, so the round position is memoized per iteration
+  /// (last_outer_/last_pos_) — one division per iteration, not per record.
   [[nodiscard]] bool keeps(const TraceRecord& r) {
     if (r.kind() == AccessKind::kWrite) return false;  // helper never stores
     if (r.outer_iter != last_outer_) {
@@ -177,8 +147,7 @@ class HelperViewCursor {
   }
 
   /// Advances pos_ to the next main-trace record the helper keeps and caches
-  /// its transformed image in current_. Mirrors make_helper_trace_into
-  /// exactly.
+  /// its transformed image in current_.
   void settle() {
     for (; pos_ < records_.size(); ++pos_) {
       const TraceRecord& r = records_[pos_];
@@ -201,5 +170,13 @@ class HelperViewCursor {
 
 static_assert(TraceCursor<HelperViewCursor>);
 static_assert(BulkTraceCursor<HelperViewCursor>);
+
+/// The helper thread's access stream, materialized: a drain of
+/// HelperViewCursor, for callers that replay or inspect it as a buffer.
+[[nodiscard]] inline TraceBuffer make_helper_trace(
+    const TraceBuffer& main_trace, const SpParams& params,
+    const HelperGenOptions& options = {}) {
+  return materialize(HelperViewCursor(main_trace, params, options));
+}
 
 }  // namespace spf

@@ -213,11 +213,6 @@ struct SweepOptions {
   /// the same workloads stop re-emitting their traces. The pool outlives the
   /// sweep; results are byte-identical either way.
   std::shared_ptr<ExperimentContextPool> pool;
-  /// Forwarded to SimConfig::streaming_cores for every plane/cell run: on
-  /// (default), helper streams are synthesized inside replay through the
-  /// cursor window; off selects the materialized reference path. Artifacts
-  /// are byte-identical either way (golden sweep test pins both).
-  bool streaming_cores = true;
 };
 
 /// Throws std::invalid_argument when spec.validate() reports a problem.

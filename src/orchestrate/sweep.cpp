@@ -176,7 +176,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
                                             spec.geometries[g], spec.phase);
         SpExperimentConfig cfg;
         cfg.sim.l2 = spec.geometries[g];
-        cfg.sim.streaming_cores = opts.streaming_cores;
         cfg.sim.provenance = spec.provenance;
         cfg.baseline_hw_prefetch = spec.baseline_hw_prefetch;
         plane.baseline = contexts.acquire()->run_original(src.trace, cfg);
@@ -241,7 +240,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         const TraceSource& src = *src_ptr;
         SpExperimentConfig cfg;
         cfg.sim.l2 = cell.l2;
-        cfg.sim.streaming_cores = opts.streaming_cores;
         cfg.sim.provenance = spec.provenance;
         cfg.helper.use_prefetch_instructions =
             cell.helper == HelperKind::kPrefetchInstruction;

@@ -38,19 +38,6 @@ struct SimConfig {
   /// When nonzero, snapshot the shared L2's occupancy composition roughly
   /// every this many cycles (see spf/sim/occupancy.hpp). 0 disables.
   Cycle occupancy_sample_interval = 0;
-  /// Replay runs of consecutive same-core records as one scheduler batch
-  /// (see docs/simulator.md). Produces bit-identical results to the
-  /// record-at-a-time engine — the flag exists so the differential test can
-  /// pin one engine against the other, not as a behaviour knob.
-  bool batched_replay = true;
-  /// Feed cores through the pull-based RecordSource seam (window-fed engine;
-  /// see spf/trace/trace_cursor.hpp). Materialized traces become a
-  /// single-window BufferCursor, cursor-backed streams (the fused helper) are
-  /// synthesized window-by-window. Off selects the buffer-indexed reference
-  /// engine, bit-identical to the streaming one — a differential-test pin
-  /// like batched_replay, not a behaviour knob. Streams that carry only a
-  /// `source` (no materialized trace) always take the streaming engine.
-  bool streaming_cores = true;
 };
 
 /// Round-based staggering of a helper core against a leader (main) core:

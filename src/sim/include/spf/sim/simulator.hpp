@@ -13,20 +13,16 @@
 // after its memory round trip; a second request to an in-flight line merges
 // and waits only the residual latency (partially hit).
 //
-// Two replay engines share every access-processing function and produce
-// bit-identical results:
-//   - record-at-a-time: one scheduler round (pick + gate checks) per record;
-//   - batched (default): one scheduler round per *run* of records that the
-//     round provably keeps on the same core — the batch ends on core switch
-//     (next-access time reaches a rival's), round boundary, helper-sync
-//     progress point, or trace end (see docs/simulator.md).
-//
-// Orthogonally, each engine runs over one of two record feeds (again
-// bit-identical, SimConfig::streaming_cores): indexing a materialized
-// TraceBuffer, or pulling windows from a RecordSource — the seam that lets a
-// core consume a lazily synthesized stream (the fused SP helper) that is
-// never materialized. See docs/simulator.md "Cursor-fed cores & the peek
-// window".
+// Replay is batched: one scheduler round per *run* of records that the round
+// provably keeps on the same core — the batch ends on core switch
+// (next-access time reaches a rival's), round boundary, helper-sync progress
+// point, or trace end (see docs/simulator.md). Every core pulls its records
+// through a RecordSource window — the seam that lets a core consume a lazily
+// synthesized stream (the fused SP helper) that is never materialized; a
+// materialized TraceBuffer is served as one window. The record-at-a-time
+// reference scheduler the batched loop is pinned against lives in
+// tests/replay_oracle.hpp. See docs/simulator.md "Batched replay & vector tag
+// match" and "Cursor-fed cores & the peek window".
 #pragma once
 
 #include <cstdint>
@@ -47,14 +43,16 @@
 
 namespace spf {
 
+namespace test {
+struct ReplayOracle;
+}  // namespace test
+
 /// One core's workload description. Exactly one of `trace` / `source` feeds
-/// the core: `trace` points at a materialized buffer (the classic path, also
-/// the only one the buffer-indexed reference engine accepts); `source` is a
-/// RecordSource pulled window-by-window, which is how lazily synthesized
-/// streams (the fused SP helper) reach the simulator without a scratch
-/// buffer. A `source` stream always runs on the streaming engine regardless
-/// of SimConfig::streaming_cores; the source must outlive the run and is
-/// reset() at run start.
+/// the core: `trace` points at a materialized buffer (served as a single
+/// window); `source` is a RecordSource pulled window-by-window, which is how
+/// lazily synthesized streams (the fused SP helper) reach the simulator
+/// without a scratch buffer. The source must outlive the run and is reset()
+/// at run start.
 struct CoreStream {
   const TraceBuffer* trace = nullptr;
   RecordSource* source = nullptr;
@@ -105,16 +103,21 @@ class CmpSimulator {
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
 
  private:
+  /// The record-at-a-time reference scheduler (tests/replay_oracle.hpp)
+  /// drives reset(), the gate checks, step_batch() and collect() directly.
+  friend struct test::ReplayOracle;
+
+  /// Widest topology the scheduler supports: the batched loop tracks the
+  /// leaders gated cores wait on in one 64-bit mask.
+  static constexpr std::size_t kMaxStreams = 64;
+
   struct CoreState {
-    const TraceBuffer* trace = nullptr;
-    std::size_t cursor = 0;
-    // Streaming-engine feed state (engine choice is per run, see run()):
-    // `window`/`win_pos` hold the current RecordSource window and the
-    // consumer position inside it — the position *is* the peek lookahead the
-    // scheduler uses (pending record = window[win_pos]). The refill-on-consume
-    // invariant in feed_consume keeps "win_pos == window.size()" equivalent
-    // to "stream exhausted". Trace-backed streams run under the streaming
-    // engine through `buffer_source` (whole buffer as one window).
+    /// Feed state: `window`/`win_pos` hold the current RecordSource window
+    /// and the consumer position inside it — the position *is* the peek
+    /// lookahead the scheduler uses (pending record = window[win_pos]). The
+    /// refill-on-consume invariant in feed_consume keeps "win_pos ==
+    /// window.size()" equivalent to "stream exhausted". Trace-backed streams
+    /// are fed through `buffer_source` (whole buffer as one window).
     RecordSource* source = nullptr;
     std::span<const TraceRecord> window{};
     std::size_t win_pos = 0;
@@ -137,7 +140,7 @@ class CmpSimulator {
     // identical to recomputing every call).
     /// clock + pending record's compute_gap; maintained on every step.
     Cycle next_time = 0;
-    std::uint32_t gate_next_round = 0;   // trace[cursor].outer_iter / round_iters
+    std::uint32_t gate_next_round = 0;   // pending outer_iter / round_iters
     std::uint32_t gate_next_outer_seen = ~std::uint32_t{0};
     std::uint32_t gate_leader_round = 0;
     std::uint32_t gate_leader_outer_seen = 0;
@@ -149,67 +152,45 @@ class CmpSimulator {
   /// origin/sync, gating memos. `warm` keeps each core's clock, L1,
   /// prefetchers, and cumulative metrics instead of zeroing them.
   void bind_streams(const std::vector<CoreStream>& streams, bool warm);
-  /// Engine dispatch + final drain + metrics collection over already-bound
-  /// streams (the shared tail of run() and run_warm()).
-  SimResult run_bound();
+  /// Final drain + metrics collection over a finished replay (the shared
+  /// tail of run() and run_warm()).
+  SimResult collect();
 
-  // Record-feed policy, selected per run: Streaming pulls through the
-  // RecordSource window, !Streaming indexes the materialized buffer. Both
-  // expose the same three operations — done / pending (peek, no consume) /
-  // consume — so the scalar and batched engines are written once and
-  // instantiated for each feed. The simulator only ever peeks the *pending*
-  // record (compute_gap for next_time, outer_iter for round gating), so a
-  // one-record-deep peek inside the window reproduces the buffer engine's
-  // scheduling decisions exactly.
-  template <bool Streaming>
+  // The record feed: done / pending (peek, no consume) / consume. The
+  // simulator only ever peeks the *pending* record (compute_gap for
+  // next_time, outer_iter for round gating), so a one-record-deep peek inside
+  // the window is all the scheduler needs.
   [[nodiscard]] static bool feed_done(const CoreState& core) noexcept {
-    if constexpr (Streaming) return core.win_pos >= core.window.size();
-    else return core.cursor >= core.trace->size();
+    return core.win_pos >= core.window.size();
   }
-  template <bool Streaming>
   [[nodiscard]] static const TraceRecord& feed_pending(
       const CoreState& core) noexcept {
-    if constexpr (Streaming) return core.window[core.win_pos];
-    else return (*core.trace)[core.cursor];
+    return core.window[core.win_pos];
   }
-  /// Returns the consumed record *by value*: in streaming mode the refill
-  /// that re-establishes the window invariant may overwrite the ring slot a
-  /// reference would point into.
-  template <bool Streaming>
+  /// Returns the consumed record *by value*: the refill that re-establishes
+  /// the window invariant may overwrite the ring slot a reference would
+  /// point into.
   [[nodiscard]] static TraceRecord feed_consume(CoreState& core) {
-    if constexpr (Streaming) {
-      const TraceRecord rec = core.window[core.win_pos++];
-      if (core.win_pos >= core.window.size()) {
-        core.window = core.source->next_window();
-        core.win_pos = 0;
-      }
-      return rec;
-    } else {
-      return (*core.trace)[core.cursor++];
+    const TraceRecord rec = core.window[core.win_pos++];
+    if (core.win_pos >= core.window.size()) {
+      core.window = core.source->next_window();
+      core.win_pos = 0;
     }
+    return rec;
   }
 
-  template <bool Streaming>
   [[nodiscard]] bool gated(CoreState& core) const;
   /// Refresh `core.gate_next_round` from the pending record (call after the
   /// feed position moves).
-  template <bool Streaming>
   void refresh_gate_round(CoreState& core) const;
-  /// One scheduler round per record (reference engine).
-  template <bool Streaming>
-  void run_loop_scalar();
-  /// One scheduler round per same-core batch; requires <= 64 cores.
-  template <bool Streaming>
-  void run_loop_batched();
-  template <bool Streaming>
-  void step(CoreId id);
+  /// The scheduler: one round per same-core batch.
+  void run_loop();
   /// Process records of core `id` until the scheduler could pick a different
   /// core: its next-access time reaches limit_lo (rival with a lower id) or
   /// exceeds limit_hi (rival with a higher id), a gate-relevant progress
   /// point passes (`leader_sensitive`: some currently-gated core waits on
   /// this one), the pending record enters a new round of this core's own
-  /// sync, or the trace ends.
-  template <bool Streaming>
+  /// sync, or the trace ends. limit_lo = 0 ends the batch after one record.
   void step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
                   bool leader_sensitive);
   /// Demand path for one record; returns the completion time of the access.
@@ -231,9 +212,6 @@ class CmpSimulator {
   /// participate in the current run.
   std::vector<CoreState> cores_;
   std::size_t active_ = 0;
-  /// Feed selected by the last reset(): SimConfig::streaming_cores, forced
-  /// on when any stream carries a RecordSource instead of a trace.
-  bool streaming_run_ = false;
   std::optional<Cache> l2_;
   std::optional<MshrFile> mshr_;
   std::optional<MemoryController> memory_;

@@ -51,6 +51,8 @@ CmpSimulator::CmpSimulator(const SimConfig& config, Arena* arena)
 
 void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
   SPF_ASSERT(!streams.empty(), "simulator needs at least one stream");
+  SPF_ASSERT(streams.size() <= kMaxStreams,
+             "simulator supports at most 64 streams");
   if (l2_) {
     l2_->reset_to(config_.l2, config_.replacement, config_.seed);
   } else {
@@ -99,38 +101,21 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
 
 void CmpSimulator::bind_streams(const std::vector<CoreStream>& streams,
                                 bool warm) {
-  // Pick the feed for this run: the streaming engine is forced whenever any
-  // stream has no materialized trace to index.
-  bool any_source_only = false;
-  for (const CoreStream& s : streams) {
-    if (s.trace == nullptr) any_source_only = true;
-  }
-  streaming_run_ = config_.streaming_cores || any_source_only;
-
   for (std::size_t i = 0; i < active_; ++i) {
     CoreState& core = cores_[i];
     SPF_ASSERT(streams[i].trace != nullptr || streams[i].source != nullptr,
                "core stream needs a trace or a record source");
-    core.trace = streams[i].trace;
     core.source = streams[i].source;
-    core.cursor = 0;
-    if (streaming_run_) {
-      if (core.source != nullptr) {
-        core.source->reset();
-      } else {
-        // Trace-backed stream under the streaming engine: the whole buffer
-        // is one window, so the feed is the buffer read it replaces.
-        core.buffer_source.rebind(core.trace->records());
-        core.source = &core.buffer_source;
-      }
-      core.window = core.source->next_window();
-      core.win_pos = 0;
+    if (core.source != nullptr) {
+      core.source->reset();
     } else {
-      SPF_ASSERT(core.trace != nullptr,
-                 "buffer engine cannot feed a source-only stream");
-      core.window = {};
-      core.win_pos = 0;
+      // Trace-backed stream: the whole buffer is one window, so the feed is
+      // the buffer read it replaces.
+      core.buffer_source.rebind(streams[i].trace->records());
+      core.source = &core.buffer_source;
     }
+    core.window = core.source->next_window();
+    core.win_pos = 0;
     if (!warm) {
       core.clock = 0;
       core.metrics = ThreadMetrics{};
@@ -158,26 +143,18 @@ void CmpSimulator::bind_streams(const std::vector<CoreStream>& streams,
     core.gate_leader_round = 0;
     core.gate_leader_outer_seen = 0;
     core.gate_leader_started_seen = false;
-    if (streaming_run_) {
-      refresh_gate_round<true>(core);
-      if (!feed_done<true>(core)) {
-        core.next_time = core.clock + feed_pending<true>(core).compute_gap;
-      }
-    } else {
-      refresh_gate_round<false>(core);
-      if (!feed_done<false>(core)) {
-        core.next_time = core.clock + feed_pending<false>(core).compute_gap;
-      }
+    refresh_gate_round(core);
+    if (!feed_done(core)) {
+      core.next_time = core.clock + feed_pending(core).compute_gap;
     }
   }
 }
 
-template <bool Streaming>
 void CmpSimulator::refresh_gate_round(CoreState& core) const {
-  if (core.sync && !feed_done<Streaming>(core)) {
+  if (core.sync && !feed_done(core)) {
     // Consecutive records usually share an outer iteration; divide only when
     // it actually changed.
-    const std::uint32_t outer = feed_pending<Streaming>(core).outer_iter;
+    const std::uint32_t outer = feed_pending(core).outer_iter;
     if (outer != core.gate_next_outer_seen) {
       core.gate_next_outer_seen = outer;
       core.gate_next_round = outer / core.sync->round_iters;
@@ -185,11 +162,10 @@ void CmpSimulator::refresh_gate_round(CoreState& core) const {
   }
 }
 
-template <bool Streaming>
 bool CmpSimulator::gated(CoreState& core) const {
-  if (!core.sync || feed_done<Streaming>(core)) return false;
+  if (!core.sync || feed_done(core)) return false;
   const CoreState& leader = cores_[core.sync->leader];
-  if (feed_done<Streaming>(leader)) return false;  // leader done: open
+  if (feed_done(leader)) return false;  // leader done: open
   // gate_next_round is maintained on every cursor move; the leader-round
   // division reruns only when the leader's progress changed since last asked.
   const std::uint32_t next_round = core.gate_next_round;
@@ -206,7 +182,8 @@ bool CmpSimulator::gated(CoreState& core) const {
 
 SimResult CmpSimulator::run(const std::vector<CoreStream>& streams) {
   reset(streams);
-  SimResult result = run_bound();
+  run_loop();
+  SimResult result = collect();
   surface_run_telemetry(result);
   return result;
 }
@@ -218,18 +195,11 @@ SimResult CmpSimulator::run_warm(const std::vector<CoreStream>& streams) {
   bind_streams(streams, /*warm=*/true);
   // Cumulative metrics: the cold run() already surfaced telemetry for the
   // base totals, so warm continuations stay silent (see header contract).
-  return run_bound();
+  run_loop();
+  return collect();
 }
 
-SimResult CmpSimulator::run_bound() {
-  // The batched engine tracks gated-core leaders in a 64-bit mask; wider
-  // topologies (none exist today) take the reference engine.
-  if (config_.batched_replay && active_ <= 64) {
-    streaming_run_ ? run_loop_batched<true>() : run_loop_batched<false>();
-  } else {
-    streaming_run_ ? run_loop_scalar<true>() : run_loop_scalar<false>();
-  }
-
+SimResult CmpSimulator::collect() {
   // Install every still-outstanding fill so final cache state and pollution
   // accounting reflect all issued traffic.
   drain_l2(std::numeric_limits<Cycle>::max());
@@ -265,44 +235,7 @@ SimResult CmpSimulator::run(const SimConfig& config,
   return run(streams);
 }
 
-template <bool Streaming>
-void CmpSimulator::run_loop_scalar() {
-  for (;;) {
-    CoreId pick = std::numeric_limits<CoreId>::max();
-    Cycle best = std::numeric_limits<Cycle>::max();
-    bool any_remaining = false;
-    for (CoreId i = 0; i < active_; ++i) {
-      CoreState& core = cores_[i];
-      if (feed_done<Streaming>(core)) continue;
-      any_remaining = true;
-      if (gated<Streaming>(core)) {
-        core.was_gated = true;
-        continue;
-      }
-      if (core.was_gated) {
-        // The helper was spinning at the round barrier; it resumes at the
-        // moment the leader crossed into the round.
-        core.clock = std::max(core.clock, cores_[core.sync->leader].clock);
-        core.was_gated = false;
-        core.next_time = core.clock + feed_pending<Streaming>(core).compute_gap;
-      }
-      // Order cores by when their next access actually happens (current
-      // clock plus the pending record's compute gap, cached as next_time),
-      // so shared-structure mutations occur in global time order.
-      if (core.next_time < best) {
-        best = core.next_time;
-        pick = i;
-      }
-    }
-    if (!any_remaining) break;
-    SPF_ASSERT(pick != std::numeric_limits<CoreId>::max(),
-               "all remaining cores gated: sync cycle");
-    step<Streaming>(pick);
-  }
-}
-
-template <bool Streaming>
-void CmpSimulator::run_loop_batched() {
+void CmpSimulator::run_loop() {
   for (;;) {
     CoreId pick = std::numeric_limits<CoreId>::max();
     Cycle best = std::numeric_limits<Cycle>::max();
@@ -310,18 +243,23 @@ void CmpSimulator::run_loop_batched() {
     std::uint64_t gated_leaders = 0;  // leaders some gated core waits on
     for (CoreId i = 0; i < active_; ++i) {
       CoreState& core = cores_[i];
-      if (feed_done<Streaming>(core)) continue;
+      if (feed_done(core)) continue;
       any_remaining = true;
-      if (gated<Streaming>(core)) {
+      if (gated(core)) {
         core.was_gated = true;
         gated_leaders |= std::uint64_t{1} << core.sync->leader;
         continue;
       }
       if (core.was_gated) {
+        // The helper was spinning at the round barrier; it resumes at the
+        // moment the leader crossed into the round.
         core.clock = std::max(core.clock, cores_[core.sync->leader].clock);
         core.was_gated = false;
-        core.next_time = core.clock + feed_pending<Streaming>(core).compute_gap;
+        core.next_time = core.clock + feed_pending(core).compute_gap;
       }
+      // Order cores by when their next access actually happens (current
+      // clock plus the pending record's compute gap, cached as next_time),
+      // so shared-structure mutations occur in global time order.
       if (core.next_time < best) {
         best = core.next_time;
         pick = i;
@@ -342,7 +280,7 @@ void CmpSimulator::run_loop_batched() {
     for (CoreId i = 0; i < active_; ++i) {
       if (i == pick) continue;
       const CoreState& core = cores_[i];
-      if (feed_done<Streaming>(core) || core.was_gated) continue;
+      if (feed_done(core) || core.was_gated) continue;
       if (i < pick) {
         limit_lo = std::min(limit_lo, core.next_time);
       } else {
@@ -350,38 +288,10 @@ void CmpSimulator::run_loop_batched() {
       }
     }
     const bool leader_sensitive = ((gated_leaders >> pick) & 1) != 0;
-    step_batch<Streaming>(pick, limit_lo, limit_hi, leader_sensitive);
+    step_batch(pick, limit_lo, limit_hi, leader_sensitive);
   }
 }
 
-template <bool Streaming>
-void CmpSimulator::step(CoreId id) {
-  CoreState& core = cores_[id];
-  if (config_.occupancy_sample_interval != 0 &&
-      core.clock >= next_occupancy_sample_) {
-    occupancy_.samples.push_back(snapshot_occupancy(*l2_, core.clock));
-    // Skip ahead past idle gaps rather than emitting a backlog of samples.
-    while (next_occupancy_sample_ <= core.clock) {
-      next_occupancy_sample_ += config_.occupancy_sample_interval;
-    }
-  }
-  const TraceRecord rec = feed_consume<Streaming>(core);
-  core.outer_iter = rec.outer_iter;
-  core.started = true;
-  refresh_gate_round<Streaming>(core);
-
-  const Cycle start = core.clock + rec.compute_gap;
-  if (rec.kind() == AccessKind::kPrefetch) {
-    core.clock = software_prefetch(core, id, rec, start);
-  } else {
-    core.clock = demand_access(core, id, rec, start);
-  }
-  if (!feed_done<Streaming>(core)) {
-    core.next_time = core.clock + feed_pending<Streaming>(core).compute_gap;
-  }
-}
-
-template <bool Streaming>
 void CmpSimulator::step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
                               bool leader_sensitive) {
   CoreState& core = cores_[id];
@@ -393,21 +303,22 @@ void CmpSimulator::step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
   for (;;) {
     if (sampling && core.clock >= next_occupancy_sample_) {
       occupancy_.samples.push_back(snapshot_occupancy(*l2_, core.clock));
+      // Skip ahead past idle gaps rather than emitting a backlog of samples.
       while (next_occupancy_sample_ <= core.clock) {
         next_occupancy_sample_ += config_.occupancy_sample_interval;
       }
     }
-    const TraceRecord rec = feed_consume<Streaming>(core);
+    const TraceRecord rec = feed_consume(core);
     // A gated follower re-examines this core's progress whenever its outer
     // iteration advances or it takes its very first record; the batch must
-    // pause at those points so the follower resumes at the same instant the
-    // record-at-a-time engine would release it.
+    // pause at those points so the follower resumes at the same instant a
+    // record-at-a-time scheduler would release it.
     const bool gate_event =
         leader_sensitive &&
         (!core.started || rec.outer_iter != core.outer_iter);
     core.outer_iter = rec.outer_iter;
     core.started = true;
-    if (self_sync) refresh_gate_round<Streaming>(core);
+    if (self_sync) refresh_gate_round(core);
 
     const Cycle start = core.clock + rec.compute_gap;
     if (rec.kind() == AccessKind::kPrefetch) {
@@ -415,11 +326,10 @@ void CmpSimulator::step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
     } else {
       core.clock = demand_access(core, id, rec, start);
     }
-    if (feed_done<Streaming>(core)) return;
-    core.next_time = core.clock + feed_pending<Streaming>(core).compute_gap;
+    if (feed_done(core)) return;
+    core.next_time = core.clock + feed_pending(core).compute_gap;
     if (gate_event) return;
-    if (self_sync &&
-        feed_pending<Streaming>(core).outer_iter != core.outer_iter) {
+    if (self_sync && feed_pending(core).outer_iter != core.outer_iter) {
       // The pending record may open a new round of this core's own sync:
       // the scheduler must re-evaluate gated() before it issues.
       return;

@@ -27,12 +27,7 @@ enum class Counter : std::uint16_t {
   kBaselineRuns,   // ExperimentContext::run_original calls
   kReplayRuns,     // ExperimentContext::run_sp_once calls
   kReplayRecords,  // main-trace records fed to the simulator (both kinds)
-  kHelperRecords,  // helper-trace records synthesized for SP runs
-  // Fused helper synthesis (streaming_cores on): records pulled through the
-  // in-replay HelperViewCursor window, and the helper-scratch bytes that were
-  // therefore never written. Both stay 0 on the materialized reference path.
-  kHelperRecordsSynthesized,
-  kHelperScratchBytesSaved,
+  kHelperRecords,  // helper records synthesized inside SP replay
   // distance-bound analysis
   kDistanceBounds,  // estimate_distance_bound calls
   kRefineRuns,      // refine_with_helper calls

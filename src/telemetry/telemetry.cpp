@@ -13,10 +13,6 @@ const char* to_string(Counter c) noexcept {
     case Counter::kReplayRuns: return "replay.sp_runs";
     case Counter::kReplayRecords: return "replay.records";
     case Counter::kHelperRecords: return "replay.helper_records";
-    case Counter::kHelperRecordsSynthesized:
-      return "replay.helper_records_synthesized";
-    case Counter::kHelperScratchBytesSaved:
-      return "replay.helper_scratch_bytes_saved";
     case Counter::kDistanceBounds: return "refine.distance_bounds";
     case Counter::kRefineRuns: return "refine.runs";
     case Counter::kPhaseAnalyses: return "affinity.phase_runs";

@@ -20,7 +20,7 @@
 // spf/core/helper_gen.hpp, MergeByIterCursor below) compose over cursors so
 // derived streams are computed on the fly with zero trace-record storage —
 // the differential harness (tests/trace_stream_differential_test.cpp) pins
-// every streaming path bit-identical to its materializing reference.
+// them bit-identical to the materializing oracle in tests/replay_oracle.hpp.
 //
 // RecordSource (below) is the type-erased pull seam the CMP simulator
 // consumes: a windowed view over any cursor (CursorWindowSource) or over a
@@ -85,6 +85,18 @@ class TraceViewCursor {
 
 static_assert(TraceCursor<TraceViewCursor>);
 
+/// Drains `cursor` from its current position into a TraceBuffer, for callers
+/// that want a derived stream materialized.
+template <TraceCursor C>
+[[nodiscard]] TraceBuffer materialize(C cursor) {
+  TraceBuffer out;
+  for (; !cursor.done(); cursor.advance()) {
+    const TraceRecord& r = cursor.current();
+    out.emit(r.addr, r.outer_iter, r.kind(), r.site, r.flags(), r.compute_gap);
+  }
+  return out;
+}
+
 /// TraceViewCursor variant that re-bases outer_iter: serves records_[i] with
 /// outer_iter - iter_base, storing nothing beyond the one transformed record.
 /// The adaptive interval replay (spf/core/adaptive.hpp) slices one trace into
@@ -140,14 +152,16 @@ class RebaseViewCursor {
 static_assert(TraceCursor<RebaseViewCursor>);
 static_assert(BulkTraceCursor<RebaseViewCursor>);
 
-/// Lazy k-way merge of record streams ordered by outer_iter, the streaming
-/// equivalent of folding merge_traces_by_iter over the inputs: among the
-/// input cursors whose current record has the minimal outer_iter, the
-/// lowest-indexed input wins. For two inputs this is exactly
-/// merge_traces_by_iter's documented a-before-b tie order (see
-/// spf/core/helper_gen.hpp); for k sorted inputs it equals the left fold of
-/// the two-way merge. No records are copied or stored: current() forwards to
-/// the selected input's current().
+/// Lazy k-way merge of record streams ordered by outer_iter: among the input
+/// cursors whose current record has the minimal outer_iter, the
+/// lowest-indexed input wins. For two inputs a and b this takes the head of
+/// a iff b is exhausted or a.outer_iter <= b.outer_iter — on equal outer_iter
+/// the a-side record comes first, and records of one input keep their
+/// relative order. For inputs sorted by outer_iter that is the stable merge
+/// keyed on (outer_iter, input index); for k sorted inputs it equals the left
+/// fold of the two-way merge. Used to measure "Set Affinity with Helper
+/// Thread" over the combined main+helper reference stream. No records are
+/// copied or stored: current() forwards to the selected input's current().
 template <TraceCursor... Cursors>
 class MergeByIterCursor {
   static_assert(sizeof...(Cursors) >= 1, "merge needs at least one input");

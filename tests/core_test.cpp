@@ -7,6 +7,7 @@
 #include "spf/core/experiment.hpp"
 #include "spf/core/helper_gen.hpp"
 #include "spf/core/sp_params.hpp"
+#include "spf/trace/trace_cursor.hpp"
 
 namespace spf {
 namespace {
@@ -142,7 +143,8 @@ TEST(MergeTracesTest, OrderedByOuterIter) {
   TraceBuffer b;
   b.emit(3, 1, AccessKind::kRead, 0);
   b.emit(4, 2, AccessKind::kRead, 0);
-  const TraceBuffer merged = merge_traces_by_iter(a, b);
+  const TraceBuffer merged =
+      materialize(MergeByIterCursor(TraceViewCursor(a), TraceViewCursor(b)));
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_EQ(merged[0].addr, 1u);
   EXPECT_EQ(merged[1].addr, 3u);

@@ -82,39 +82,6 @@ TEST(GoldenSweep, PinnedGridMatchesGoldenAtEveryThreadCount) {
       << "JSONL artifact drifted from the pre-refactor golden";
 }
 
-TEST(GoldenSweep, MaterializedReferencePathMatchesGolden) {
-  // streaming_cores off selects the materialized helper reference path for
-  // every plane and cell; the artifacts must still match the same goldens at
-  // both thread counts — the feed is an engine choice, never a result change.
-  const SweepSpec spec = pinned_spec();
-
-  SweepOptions serial;
-  serial.threads = 1;
-  serial.streaming_cores = false;
-  const SweepResult a = run_sweep(spec, serial);
-  ASSERT_EQ(a.cells.size(), 36u);
-  ASSERT_EQ(a.failed_count(), 0u);
-
-  SweepOptions parallel;
-  parallel.threads = 8;
-  parallel.streaming_cores = false;
-  const SweepResult b = run_sweep(spec, parallel);
-  ASSERT_EQ(b.failed_count(), 0u);
-
-  const std::string csv = a.to_csv();
-  const std::string jsonl = a.to_jsonl();
-  EXPECT_EQ(csv, b.to_csv());
-  EXPECT_EQ(jsonl, b.to_jsonl());
-
-  if (std::getenv("SPF_REGEN_GOLDEN") != nullptr) {
-    GTEST_SKIP() << "golden regeneration handled by the pinned-grid test";
-  }
-  EXPECT_EQ(csv, read_file(golden_path("pinned_sweep.csv")))
-      << "materialized reference path drifted from the golden artifact";
-  EXPECT_EQ(jsonl, read_file(golden_path("pinned_sweep.jsonl")))
-      << "materialized reference path drifted from the golden artifact";
-}
-
 TEST(GoldenSweep, SharedPoolMemoizesTracesWithoutChangingArtifacts) {
   const SweepSpec spec = pinned_spec();
   const auto pool = std::make_shared<ExperimentContextPool>(8);

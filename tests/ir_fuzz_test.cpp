@@ -142,8 +142,7 @@ TEST_P(IrFuzzTest, PhaseBoundaryMutationsKeepBoundsSane) {
   const SpParams params = SpParams::from_distance_rp(
       1 + static_cast<std::uint32_t>(GetParam() % 8), 0.5);
   const PhasedDistanceBound refined =
-      refine_phase_bounds(bound, spliced, {0}, params, l2,
-                          DistanceBoundOptions{.phase = cfg});
+      refine_phase_bounds(bound, spliced, {0}, params, l2, cfg);
   for (const PhaseDistanceBound& ph : refined.phases) {
     EXPECT_GE(ph.upper_limit, 1u);
     EXPECT_LE(ph.upper_limit, original_half);

@@ -1,6 +1,6 @@
 // Shared random-program generator for fuzz-style tests: ir_fuzz_test.cpp
 // checks interpreter invariants over it, replay_differential_test.cpp feeds
-// its traces through both simulator replay engines.
+// its traces through the simulator and the record-at-a-time oracle.
 #pragma once
 
 #include <cstdint>

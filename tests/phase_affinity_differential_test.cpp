@@ -7,9 +7,10 @@
 // then run the windowing/EMA/hysteresis phase rule over the collected
 // (iteration, SA) sample list as plain post-hoc code.
 //
-// The refinement entry point (refine_phase_bounds) is also pinned both ways:
-// the lazy cursor composition over the merged main+helper view against the
-// materializing reference path, plus the zero-allocation contract via
+// The refinement entry point (refine_phase_bounds) is also pinned: its lazy
+// cursor composition over the merged main+helper view against the paper's
+// per-phase rule applied to the phased analysis of the oracle's materialized
+// stream (tests/replay_oracle.hpp), plus the zero-allocation contract via
 // spf::trace_hooks. A dedicated ctest entry replays this binary with
 // SPF_FORCE_SCALAR_TAGS=1, and a TSan build pins it race-free
 // (tests/CMakeLists.txt).
@@ -22,6 +23,7 @@
 #include <set>
 #include <vector>
 
+#include "replay_oracle.hpp"
 #include "spf/core/distance_bound.hpp"
 #include "spf/core/sp_params.hpp"
 #include "spf/profile/incremental_affinity.hpp"
@@ -298,6 +300,39 @@ TEST(PhaseAffinityDifferential, CumulativeFallbackMatchesNaiveReference) {
   expect_identical(streaming, naive_reference(trace, starts, l2, cfg));
 }
 
+/// The paper's refinement applied phase by phase to the naive phased
+/// analysis of the oracle's materialized main+helper stream: whole-run cap
+/// max(1, min(with-helper SA, original SA / 2)) when a set saturated, each
+/// sampled phase max(1, min(phase SA, original SA / 2)), sample-less phases
+/// inherit the whole-run cap.
+PhasedDistanceBound oracle_refine(const PhasedDistanceBound& base,
+                                  const TraceBuffer& trace,
+                                  const std::vector<std::uint32_t>& starts,
+                                  const SpParams& params) {
+  const PhasedSaResult sa = naive_reference(
+      test::combined_stream(trace, params), starts, test_l2(), {});
+  const std::uint32_t original_half =
+      std::max<std::uint32_t>(1, base.whole.original_min_sa / 2);
+  PhasedDistanceBound out;
+  out.whole = base.whole;
+  if (sa.whole.merged.any_saturated()) {
+    out.whole.with_helper_min_sa = sa.whole.merged.min_sa();
+    out.whole.upper_limit = std::max<std::uint32_t>(
+        1, std::min(sa.whole.merged.min_sa(), base.whole.original_min_sa / 2));
+  }
+  for (const AffinityPhase& p : sa.phases) {
+    out.phases.push_back(PhaseDistanceBound{
+        .begin_iter = p.begin_iter,
+        .end_iter = p.end_iter,
+        .min_sa = p.min_sa,
+        .upper_limit = p.samples != 0
+                           ? std::max<std::uint32_t>(
+                                 1, std::min(p.min_sa, original_half))
+                           : out.whole.upper_limit});
+  }
+  return out;
+}
+
 TEST(PhaseAffinityDifferential, RefineStreamingMatchesMaterializing) {
   const TraceBuffer trace = shifting_trace();
   const std::vector<std::uint32_t> starts = {0};
@@ -306,12 +341,9 @@ TEST(PhaseAffinityDifferential, RefineStreamingMatchesMaterializing) {
   for (const double rp : {0.5, 1.0}) {
     SCOPED_TRACE(rp);
     const SpParams params = SpParams::from_distance_rp(6, rp);
-    const PhasedDistanceBound a = refine_phase_bounds(
-        base, trace, starts, params, test_l2(),
-        DistanceBoundOptions{.streaming_refine = false});
-    const PhasedDistanceBound b = refine_phase_bounds(
-        base, trace, starts, params, test_l2(),
-        DistanceBoundOptions{.streaming_refine = true});
+    const PhasedDistanceBound a = oracle_refine(base, trace, starts, params);
+    const PhasedDistanceBound b =
+        refine_phase_bounds(base, trace, starts, params, test_l2());
     EXPECT_EQ(a.whole.original_min_sa, b.whole.original_min_sa);
     EXPECT_EQ(a.whole.with_helper_min_sa, b.whole.with_helper_min_sa);
     EXPECT_EQ(a.whole.upper_limit, b.whole.upper_limit);
@@ -346,16 +378,14 @@ TEST(PhaseAffinityAllocation, StreamingRefineAllocatesNoTraceRecords) {
       estimate_phase_bounds(trace, starts, test_l2());
   const SpParams params = SpParams::from_distance_rp(4, 0.5);
 
-  // Positive control: the materializing reference grows trace storage.
+  // Positive control: the materializing oracle grows trace storage.
   const std::uint64_t before_ref = trace_hooks::record_allocations();
-  (void)refine_phase_bounds(base, trace, starts, params, test_l2(),
-                            DistanceBoundOptions{.streaming_refine = false});
+  (void)oracle_refine(base, trace, starts, params);
   EXPECT_GT(trace_hooks::record_allocations(), before_ref);
 
-  // The streaming path composes cursors over the existing buffer: zero.
+  // The refinement composes cursors over the existing buffer: zero.
   const std::uint64_t before = trace_hooks::record_allocations();
-  (void)refine_phase_bounds(base, trace, starts, params, test_l2(),
-                            DistanceBoundOptions{.streaming_refine = true});
+  (void)refine_phase_bounds(base, trace, starts, params, test_l2());
   EXPECT_EQ(trace_hooks::record_allocations() - before, 0u);
 }
 

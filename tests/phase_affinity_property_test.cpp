@@ -198,12 +198,10 @@ TEST(PhaseAffinityProperty, SinglePhaseConfigIsBitIdenticalToLegacy) {
     EXPECT_EQ(phased.phases.front().upper_limit, base.upper_limit);
 
     const SpParams params = SpParams::from_distance_rp(4, 0.5);
-    DistanceBoundOptions opts;
-    opts.phase = off;
     const DistanceBound refined_legacy =
         refine_with_helper(base, f.trace, f.starts, params, test_l2());
     const PhasedDistanceBound refined_phased = refine_phase_bounds(
-        phased, f.trace, f.starts, params, test_l2(), opts);
+        phased, f.trace, f.starts, params, test_l2(), off);
     EXPECT_EQ(refined_phased.whole.original_min_sa,
               refined_legacy.original_min_sa);
     EXPECT_EQ(refined_phased.whole.with_helper_min_sa,

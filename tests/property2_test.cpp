@@ -7,6 +7,7 @@
 #include "spf/core/helper_gen.hpp"
 #include "spf/profile/sampling.hpp"
 #include "spf/profile/set_affinity.hpp"
+#include "spf/trace/trace_cursor.hpp"
 #include "spf/trace/trace_ops.hpp"
 
 namespace spf {
@@ -24,6 +25,10 @@ TraceBuffer random_trace(std::uint64_t seed, std::uint32_t iters,
     }
   }
   return t;
+}
+
+TraceBuffer merge(const TraceBuffer& a, const TraceBuffer& b) {
+  return materialize(MergeByIterCursor(TraceViewCursor(a), TraceViewCursor(b)));
 }
 
 // ---------------------------------------------------------------------------
@@ -97,10 +102,10 @@ TEST(TraceOpsPropertyTest, ShiftThenShiftBackIsIdentityAboveZero) {
 TEST(TraceOpsPropertyTest, SliceOfMergeEqualsMergeOfSlices) {
   const TraceBuffer a = random_trace(6, 400, 3);
   const TraceBuffer b = random_trace(7, 400, 2);
-  const TraceBuffer merged = merge_traces_by_iter(a, b);
+  const TraceBuffer merged = merge(a, b);
   const TraceBuffer slice_then = slice_iters(merged, 100, 300);
-  const TraceBuffer then_slice = merge_traces_by_iter(
-      slice_iters(a, 100, 300), slice_iters(b, 100, 300));
+  const TraceBuffer then_slice =
+      merge(slice_iters(a, 100, 300), slice_iters(b, 100, 300));
   ASSERT_EQ(slice_then.size(), then_slice.size());
   for (std::size_t i = 0; i < slice_then.size(); i += 23) {
     EXPECT_EQ(slice_then[i], then_slice[i]);
@@ -110,7 +115,7 @@ TEST(TraceOpsPropertyTest, SliceOfMergeEqualsMergeOfSlices) {
 TEST(TraceOpsPropertyTest, MergeIsOrderedAndSizePreserving) {
   const TraceBuffer a = random_trace(8, 600, 2);
   const TraceBuffer b = random_trace(9, 300, 4);
-  const TraceBuffer merged = merge_traces_by_iter(a, b);
+  const TraceBuffer merged = merge(a, b);
   EXPECT_EQ(merged.size(), a.size() + b.size());
   std::uint32_t prev = 0;
   for (const TraceRecord& r : merged) {

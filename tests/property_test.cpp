@@ -12,6 +12,7 @@
 #include "spf/core/helper_gen.hpp"
 #include "spf/profile/set_affinity.hpp"
 #include "spf/sim/simulator.hpp"
+#include "spf/trace/trace_cursor.hpp"
 #include "spf/workloads/synthetic.hpp"
 
 namespace spf {
@@ -187,7 +188,8 @@ TEST(SaPropertyTest, SupersetStreamNeverIncreasesSa) {
   const TraceBuffer main_t = random_trace(10, 1500, 8, 1 << 13);
   const TraceBuffer helper =
       make_helper_trace(main_t, SpParams{.a_ski = 8, .a_pre = 8});
-  const TraceBuffer combined = merge_traces_by_iter(main_t, helper);
+  const TraceBuffer combined = materialize(
+      MergeByIterCursor(TraceViewCursor(main_t), TraceViewCursor(helper)));
   const CacheGeometry g(32 * 1024, 8, 64);
   const SetAffinityResult solo = SetAffinityAnalyzer::analyze(main_t, g);
   const SetAffinityResult both = SetAffinityAnalyzer::analyze(combined, g);

@@ -1,12 +1,11 @@
-// Differential test of the simulator's two record feeds (docs/simulator.md
-// "Cursor-fed cores & the peek window"): every SimResult field must be
-// identical whether the helper core replays a materialized helper trace
-// through the buffer-indexed reference engine or pulls lazily synthesized
-// records through the RecordSource window (SimConfig::streaming_cores, the
-// fused default). Structured em3d/mcf/mst workloads drive all four
-// feed × engine combinations, window sizes down to a single record stress
-// refill at every peek, and the ExperimentContext seam is pinned at the
-// SpRunSummary level — including the fused path's zero trace-record
+// Differential test of the simulator's record feed (docs/simulator.md
+// "Cursor-fed cores & the peek window"): every SimResult field of a run whose
+// helper core pulls lazily synthesized records through a RecordSource window
+// must be identical to the oracle's (tests/replay_oracle.hpp) — a
+// materialized helper trace replayed by the record-at-a-time scheduler.
+// Structured em3d/mcf/mst workloads drive the comparison, window sizes down
+// to a single record stress refill at every peek, and the ExperimentContext
+// seam is pinned at the SpRunSummary level — including its zero trace-record
 // allocation contract (trace_hooks::record_allocations). A scalar-tags ctest
 // variant replays the suite under SPF_FORCE_SCALAR_TAGS=1, and a TSan
 // variant runs it race-instrumented when SPF_SANITIZE=thread.
@@ -15,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "replay_oracle.hpp"
 #include "sim_test_util.hpp"
 #include "spf/core/experiment_context.hpp"
 #include "spf/core/helper_gen.hpp"
@@ -39,90 +39,74 @@ SimConfig small_machine() {
   return config;
 }
 
-/// The materialized reference cell: helper trace generated up front, both
-/// cores buffer-indexed.
-SimResult run_materialized(const SimConfig& base, const TraceBuffer& trace,
-                           const SpParams& params, bool batched) {
-  SimConfig config = base;
-  config.streaming_cores = false;
-  config.batched_replay = batched;
-  const TraceBuffer helper = make_helper_trace(trace, params);
-  CmpSimulator sim(config);
-  return sim.run(
-      {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                  .sync = std::nullopt},
-       CoreStream{.trace = &helper, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
+/// Main trace plus a round-gated helper on core 1.
+std::vector<CoreStream> sp_streams(const TraceBuffer& trace,
+                                   const CoreStream& helper,
+                                   const SpParams& params) {
+  CoreStream gated = helper;
+  gated.origin = FillOrigin::kHelper;
+  gated.sync = RoundSync{.leader = 0, .round_iters = params.round()};
+  return {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
+                     .sync = std::nullopt},
+          gated};
+}
+
+/// The oracle cell: helper trace materialized up front, both cores replayed
+/// record-at-a-time.
+SimResult run_oracle(const SimConfig& config, const TraceBuffer& trace,
+                     const SpParams& params,
+                     const HelperGenOptions& options = {}) {
+  const TraceBuffer helper = test::helper_trace(trace, params, options);
+  return test::ReplayOracle::run(
+      config, sp_streams(trace, CoreStream{.trace = &helper}, params));
 }
 
 /// The fused cell: helper records synthesized through a HelperViewCursor
-/// window during replay, main core fed through the same streaming engine.
+/// window during replay.
 template <std::size_t WindowN>
-SimResult run_fused(const SimConfig& base, const TraceBuffer& trace,
-                    const SpParams& params, bool batched) {
-  SimConfig config = base;
-  config.streaming_cores = true;
-  config.batched_replay = batched;
+SimResult run_fused(const SimConfig& config, const TraceBuffer& trace,
+                    const SpParams& params,
+                    const HelperGenOptions& options = {}) {
   CursorWindowSource<HelperViewCursor, WindowN> feed(
-      HelperViewCursor(trace, params));
+      HelperViewCursor(trace, params, options));
   CmpSimulator sim(config);
-  const SimResult result = sim.run(
-      {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                  .sync = std::nullopt},
-       CoreStream{.source = &feed, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
-  // The window source must have served exactly the materialized stream's
-  // record count — feed_consume's refill invariant ends the stream only when
-  // the cursor is exhausted.
-  EXPECT_EQ(feed.records_served(), make_helper_trace(trace, params).size());
+  const SimResult result =
+      sim.run(sp_streams(trace, CoreStream{.source = &feed}, params));
+  // The window source must have served exactly the oracle stream's record
+  // count — feed_consume's refill invariant ends the stream only when the
+  // cursor is exhausted.
+  EXPECT_EQ(feed.records_served(),
+            test::helper_trace(trace, params, options).size());
   return result;
 }
 
 void pin_all_feed_variants(const TraceBuffer& trace, const SpParams& params,
-                           const SimConfig& base) {
-  const SimResult reference = run_materialized(base, trace, params, true);
+                           const SimConfig& config) {
+  const SimResult reference = run_oracle(config, trace, params);
 
   {
-    SCOPED_TRACE("fused batched");
-    expect_same_result(reference, run_fused<4096>(base, trace, params, true));
-  }
-  {
-    SCOPED_TRACE("fused record-at-a-time");
-    expect_same_result(reference, run_fused<4096>(base, trace, params, false));
-  }
-  {
-    SCOPED_TRACE("materialized record-at-a-time");
-    expect_same_result(reference, run_materialized(base, trace, params, false));
+    SCOPED_TRACE("fused, production window");
+    expect_same_result(reference, run_fused<4096>(config, trace, params));
   }
   {
     // One-record windows put a refill behind every consume, so the pending
     // peek crosses a window boundary at every step.
     SCOPED_TRACE("fused single-record window");
-    expect_same_result(reference, run_fused<1>(base, trace, params, true));
+    expect_same_result(reference, run_fused<1>(config, trace, params));
   }
   {
     // A window size coprime to the round structure lands refills mid-round.
     SCOPED_TRACE("fused tiny window");
-    expect_same_result(reference, run_fused<7>(base, trace, params, true));
+    expect_same_result(reference, run_fused<7>(config, trace, params));
   }
-
-  // Materialized traces under the streaming engine (BufferCursor windows):
-  // the remaining feed × storage combination.
   {
-    SCOPED_TRACE("buffer streams through streaming engine");
-    SimConfig config = base;
-    config.streaming_cores = true;
-    const TraceBuffer helper = make_helper_trace(trace, params);
+    // Materialized helper served as one BufferCursor window.
+    SCOPED_TRACE("materialized helper buffer");
+    const TraceBuffer helper = test::helper_trace(trace, params);
     CmpSimulator sim(config);
-    const SimResult streamed = sim.run(
-        {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                    .sync = std::nullopt},
-         CoreStream{.trace = &helper, .origin = FillOrigin::kHelper,
-                    .sync = RoundSync{.leader = 0,
-                                      .round_iters = params.round()}}});
-    expect_same_result(reference, streamed);
+    expect_same_result(
+        reference,
+        sim.run(sp_streams(trace, CoreStream{.trace = &helper}, params)));
   }
 }
 
@@ -164,17 +148,17 @@ TEST(SimStreamDifferentialTest, OccupancySamplingAgreesAcrossFeeds) {
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
   const SpParams params = SpParams::from_distance_rp(8, 0.5);
   SimConfig config = small_machine();
-  // Small interval: sample points land mid-window, so the streaming feed must
-  // honor them at the same records the buffer feed does.
+  // Small interval: sample points land mid-window, so the windowed feed must
+  // honor them at the same records the oracle does.
   config.occupancy_sample_interval = 512;
-  expect_same_result(run_materialized(config, trace, params, true),
-                     run_fused<64>(config, trace, params, true));
+  expect_same_result(run_oracle(config, trace, params),
+                     run_fused<64>(config, trace, params));
 }
 
-// The ExperimentContext seam: run_sp_once's fused path (helper_feed_) against
-// its materialized reference path, pinned at the SpRunSummary level — the
-// same numbers sweep cells and perf_smoke's replay_checksum are built from —
-// plus the fused path's zero-allocation contract.
+// The ExperimentContext seam: run_sp_once against the oracle SP cell, pinned
+// at the SpRunSummary level — the same numbers sweep cells and perf_smoke's
+// replay_checksum are built from — plus the context's zero-allocation
+// contract.
 TEST(SimStreamDifferentialTest, ExperimentContextPathsAgree) {
   Em3dConfig wl;
   wl.nodes = 3000;
@@ -182,35 +166,29 @@ TEST(SimStreamDifferentialTest, ExperimentContextPathsAgree) {
   wl.passes = 1;
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
 
-  SpExperimentConfig fused_cfg;  // streaming_cores defaults on
-  fused_cfg.sim = small_machine();
-  fused_cfg.params = SpParams::from_distance_rp(8, 0.5);
-  SpExperimentConfig mat_cfg = fused_cfg;
-  mat_cfg.sim.streaming_cores = false;
+  SpExperimentConfig cfg;
+  cfg.sim = small_machine();
+  cfg.params = SpParams::from_distance_rp(8, 0.5);
 
   ExperimentContext ctx;
-  // Warm-up pass: the materialized path's helper scratch reaches capacity, so
-  // the timed-path contract below (zero record allocations while fused) is
-  // not confounded by reference-path growth.
-  const SpRunSummary warm = ctx.run_sp_once(trace, mat_cfg);
-
+  const SpRunSummary first = ctx.run_sp_once(trace, cfg);
   const std::uint64_t allocs_before = trace_hooks::record_allocations();
-  const SpRunSummary fused = ctx.run_sp_once(trace, fused_cfg);
+  const SpRunSummary fused = ctx.run_sp_once(trace, cfg);
   EXPECT_EQ(trace_hooks::record_allocations() - allocs_before, 0u)
       << "fused replay must not grow trace-record storage";
-  const SpRunSummary mat = ctx.run_sp_once(trace, mat_cfg);
+  const SpRunSummary oracle = test::run_sp_once(trace, cfg);
 
-  EXPECT_EQ(warm.runtime, fused.runtime);
-  EXPECT_EQ(fused.runtime, mat.runtime);
-  EXPECT_EQ(fused.l2_lookups, mat.l2_lookups);
-  EXPECT_EQ(fused.totally_hits, mat.totally_hits);
-  EXPECT_EQ(fused.partially_hits, mat.partially_hits);
-  EXPECT_EQ(fused.totally_misses, mat.totally_misses);
-  EXPECT_EQ(fused.memory_requests, mat.memory_requests);
-  EXPECT_EQ(fused.helper_finish, mat.helper_finish);
+  EXPECT_EQ(first.runtime, fused.runtime);
+  EXPECT_EQ(fused.runtime, oracle.runtime);
+  EXPECT_EQ(fused.l2_lookups, oracle.l2_lookups);
+  EXPECT_EQ(fused.totally_hits, oracle.totally_hits);
+  EXPECT_EQ(fused.partially_hits, oracle.partially_hits);
+  EXPECT_EQ(fused.totally_misses, oracle.totally_misses);
+  EXPECT_EQ(fused.memory_requests, oracle.memory_requests);
+  EXPECT_EQ(fused.helper_finish, oracle.helper_finish);
   EXPECT_EQ(fused.pollution.case2_helper_displaced,
-            mat.pollution.case2_helper_displaced);
-  EXPECT_EQ(fused.pollution.total_evictions, mat.pollution.total_evictions);
+            oracle.pollution.case2_helper_displaced);
+  EXPECT_EQ(fused.pollution.total_evictions, oracle.pollution.total_evictions);
 }
 
 // Prefetch-instruction helper kind flows through the cursor transform too.
@@ -222,29 +200,8 @@ TEST(SimStreamDifferentialTest, PrefetchInstructionHelperAgrees) {
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
   const SpParams params = SpParams::from_distance_rp(4, 0.5);
   const HelperGenOptions options{.use_prefetch_instructions = true};
-
-  SimConfig config = small_machine();
-  config.streaming_cores = false;
-  const TraceBuffer helper = make_helper_trace(trace, params, options);
-  CmpSimulator mat_sim(config);
-  const SimResult reference = mat_sim.run(
-      {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                  .sync = std::nullopt},
-       CoreStream{.trace = &helper, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
-
-  config.streaming_cores = true;
-  CursorWindowSource<HelperViewCursor, 128> feed(
-      HelperViewCursor(trace, params, options));
-  CmpSimulator fused_sim(config);
-  const SimResult fused = fused_sim.run(
-      {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand,
-                  .sync = std::nullopt},
-       CoreStream{.source = &feed, .origin = FillOrigin::kHelper,
-                  .sync = RoundSync{.leader = 0,
-                                    .round_iters = params.round()}}});
-  expect_same_result(reference, fused);
+  expect_same_result(run_oracle(small_machine(), trace, params, options),
+                     run_fused<128>(small_machine(), trace, params, options));
 }
 
 }  // namespace

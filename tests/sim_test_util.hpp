@@ -1,7 +1,7 @@
 // Shared helpers for the simulator differential suites: full-field equality
-// over SimResult, used to pin engine variants (batched vs record-at-a-time in
-// replay_differential_test.cpp, cursor-fed vs materialized feeds in
-// sim_stream_differential_test.cpp) bit-identical to each other.
+// over SimResult, used to pin the simulator bit-identical to the
+// record-at-a-time oracle in tests/replay_oracle.hpp
+// (replay_differential_test.cpp, sim_stream_differential_test.cpp).
 #pragma once
 
 #include <gtest/gtest.h>

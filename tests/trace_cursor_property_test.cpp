@@ -1,27 +1,29 @@
 // Property tests for the lazy trace adaptors (spf/trace/trace_cursor.hpp,
 // HelperViewCursor in spf/core/helper_gen.hpp): over randomized traces and
-// SP parameters, every cursor stream must equal its materializing reference
-// record-for-record —
+// SP parameters, every cursor stream must equal the materializing oracle
+// (tests/replay_oracle.hpp) record-for-record —
 //
-//   * MergeByIterCursor == merge_traces_by_iter, including the documented
-//     a-before-b tie order (helper_gen.hpp's tie-break contract) and on
-//     inputs that are not sorted by outer_iter (the merge is defined by its
-//     head-comparison rule, not by sortedness);
+//   * MergeByIterCursor == the oracle's merge_by_iter, including the
+//     documented a-before-b tie order and on inputs that are not sorted by
+//     outer_iter (the merge is defined by its head-comparison rule, not by
+//     sortedness);
 //   * three-way MergeByIterCursor == the left fold of two-way merges on
 //     iter-sorted inputs;
-//   * HelperViewCursor == make_helper_trace across randomized SpParams,
-//     covering a_ski = 0, round > trace length, empty traces, prefetch-
-//     instruction helpers, and the a_pre = 0 assertion (both paths die);
+//   * HelperViewCursor == the oracle's helper_trace across randomized
+//     SpParams, covering a_ski = 0, round > trace length, empty traces,
+//     prefetch-instruction helpers, and the a_pre = 0 assertion (both die);
 //   * HelperViewCursor::fill (the bulk window refill) == the advance loop
 //     for arbitrary chunk sizes;
-//   * re-anchored HelperViewCursor == the materialized helper after the
+//   * re-anchored HelperViewCursor == the oracle helper after the
 //     refinement's outer_iter -= A_SKI mutation pass;
+//   * make_helper_trace (the drain of HelperViewCursor) == the oracle;
 //   * reset() replays the identical stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "replay_oracle.hpp"
 #include "spf/common/rng.hpp"
 #include "spf/core/helper_gen.hpp"
 #include "spf/core/sp_params.hpp"
@@ -100,7 +102,7 @@ class MergePropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(MergePropertyTest, TwoWayCursorEqualsMaterializedMerge) {
   const TraceBuffer a = random_trace(GetParam() * 2 + 1, 200);
   const TraceBuffer b = random_trace(GetParam() * 2 + 2, 200);
-  const TraceBuffer merged = merge_traces_by_iter(a, b);
+  const TraceBuffer merged = test::merge_by_iter(a, b);
 
   MergeByIterCursor cursor{TraceViewCursor(a), TraceViewCursor(b)};
   EXPECT_EQ(drain(cursor), to_vector(merged));
@@ -109,7 +111,7 @@ TEST_P(MergePropertyTest, TwoWayCursorEqualsMaterializedMerge) {
 TEST_P(MergePropertyTest, UnsortedInputsStillMatchTheHeadComparisonRule) {
   const TraceBuffer a = random_unsorted_trace(GetParam() * 3 + 1, 150);
   const TraceBuffer b = random_unsorted_trace(GetParam() * 3 + 2, 150);
-  const TraceBuffer merged = merge_traces_by_iter(a, b);
+  const TraceBuffer merged = test::merge_by_iter(a, b);
 
   MergeByIterCursor cursor{TraceViewCursor(a), TraceViewCursor(b)};
   EXPECT_EQ(drain(cursor), to_vector(merged));
@@ -120,7 +122,7 @@ TEST_P(MergePropertyTest, ThreeWayCursorEqualsFoldedTwoWayMerge) {
   const TraceBuffer b = random_trace(GetParam() * 5 + 2, 120);
   const TraceBuffer c = random_trace(GetParam() * 5 + 3, 120);
   const TraceBuffer folded =
-      merge_traces_by_iter(merge_traces_by_iter(a, b), c);
+      test::merge_by_iter(test::merge_by_iter(a, b), c);
 
   MergeByIterCursor cursor{TraceViewCursor(a), TraceViewCursor(b),
                            TraceViewCursor(c)};
@@ -149,12 +151,16 @@ TEST_P(HelperViewPropertyTest, CursorEqualsMaterializedHelper) {
     options.helper_compute_gap = static_cast<std::uint16_t>(rng.below(8));
     SCOPED_TRACE(params.to_string());
 
-    const TraceBuffer helper = make_helper_trace(main_trace, params, options);
+    const TraceBuffer helper =
+        test::helper_trace(main_trace, params, options);
     HelperViewCursor cursor(main_trace, params, options);
     EXPECT_EQ(drain(cursor), to_vector(helper));
 
     cursor.reset();
     EXPECT_EQ(drain(cursor), to_vector(helper));
+
+    EXPECT_EQ(to_vector(make_helper_trace(main_trace, params, options)),
+              to_vector(helper));
   }
 }
 
@@ -196,7 +202,7 @@ TEST_P(HelperViewPropertyTest, ReanchoredCursorEqualsMutatedHelper) {
     SCOPED_TRACE(params.to_string());
 
     // The refinement's materialized transform: helper, then re-anchor.
-    TraceBuffer helper = make_helper_trace(main_trace, params);
+    TraceBuffer helper = test::helper_trace(main_trace, params);
     for (TraceRecord& r : helper.mutable_records()) {
       r.outer_iter =
           r.outer_iter >= params.a_ski ? r.outer_iter - params.a_ski : 0;
@@ -236,7 +242,7 @@ TEST(HelperViewEdgeTest, SkipOnlyRoundsKeepOnlySpine) {
 TEST(HelperViewDeathTest, ZeroPreExecuteDiesLikeTheReference) {
   const TraceBuffer t = random_trace(1, 10);
   const SpParams params{.a_ski = 3, .a_pre = 0};
-  EXPECT_DEATH((void)make_helper_trace(t, params), "pre-execute");
+  EXPECT_DEATH((void)test::helper_trace(t, params), "pre-execute");
   EXPECT_DEATH(HelperViewCursor(t, params), "pre-execute");
 }
 

@@ -1,24 +1,26 @@
 // Differential harness for the streaming trace pipeline: the distance-bound
-// refinement must produce bit-identical results whether the combined
-// main+helper stream is materialized (make_helper_trace + re-anchor pass +
-// merge_traces_by_iter, the reference implementation selected by
-// DistanceBoundOptions{.streaming_refine = false}) or streamed lazily through
-// TraceCursor adaptors (HelperViewCursor + MergeByIterCursor, the default).
+// refinement streams the combined main+helper stream lazily through
+// TraceCursor adaptors (HelperViewCursor + MergeByIterCursor), and must
+// produce bit-identical results to Set Affinity measured over the stream the
+// oracle materializes (tests/replay_oracle.hpp: helper generator, re-anchor
+// pass, two-way merge).
 //
 // Seeded random IR traces come from the shared program generator; a
 // structured multi-invocation EM3D workload covers the per-invocation SA
-// split and realistic spine/delinquent mixes. Both the final DistanceBound
-// and the full WorkloadSaResult are compared field-for-field, and the
-// streaming path is held to *zero* trace-record allocations via the
+// split and realistic spine/delinquent mixes. Both the full WorkloadSaResult
+// and the refined DistanceBound are compared field-for-field, and the
+// refinement is held to *zero* trace-record allocations via the
 // spf::trace_hooks counter. A dedicated ctest entry replays this binary with
 // SPF_FORCE_SCALAR_TAGS=1, and a TSan build pins it race-free
 // (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "ir_fuzz_util.hpp"
+#include "replay_oracle.hpp"
 #include "spf/core/distance_bound.hpp"
 #include "spf/core/helper_gen.hpp"
 #include "spf/core/sp_params.hpp"
@@ -42,49 +44,54 @@ void expect_same_sa(const WorkloadSaResult& materialized,
   EXPECT_EQ(materialized.invocations_analyzed, streaming.invocations_analyzed);
 }
 
-void expect_same_bound(const DistanceBound& materialized,
+void expect_same_bound(const DistanceBound& oracle,
                        const DistanceBound& streaming) {
-  EXPECT_EQ(materialized.original_min_sa, streaming.original_min_sa);
-  EXPECT_EQ(materialized.with_helper_min_sa, streaming.with_helper_min_sa);
-  EXPECT_EQ(materialized.upper_limit, streaming.upper_limit);
+  EXPECT_EQ(oracle.original_min_sa, streaming.original_min_sa);
+  EXPECT_EQ(oracle.with_helper_min_sa, streaming.with_helper_min_sa);
+  EXPECT_EQ(oracle.upper_limit, streaming.upper_limit);
 }
 
-/// Builds the combined main+helper stream both ways and compares the full
-/// Set-Affinity analysis and the refined bound.
+/// The paper's refinement applied to Set Affinity measured over the oracle's
+/// materialized main+helper stream: with a saturated set, the bound becomes
+/// max(1, min(with-helper SA, original SA / 2)); otherwise it is unchanged.
+DistanceBound oracle_refine(const DistanceBound& base, const TraceBuffer& trace,
+                            const std::vector<std::uint32_t>& invocation_starts,
+                            const SpParams& params, const CacheGeometry& l2) {
+  const WorkloadSaResult sa = analyze_workload_sa(
+      test::combined_stream(trace, params), invocation_starts, l2);
+  DistanceBound refined = base;
+  if (sa.merged.any_saturated()) {
+    refined.with_helper_min_sa = sa.merged.min_sa();
+    refined.upper_limit = std::max<std::uint32_t>(
+        1, std::min(sa.merged.min_sa(), base.original_min_sa / 2));
+  }
+  return refined;
+}
+
+/// Compares the full Set-Affinity analysis of the cursor-composed stream and
+/// the refined bound against the oracle's materialized stream.
 void compare_paths(const TraceBuffer& trace,
                    const std::vector<std::uint32_t>& invocation_starts,
                    const SpParams& params, const CacheGeometry& l2) {
   SCOPED_TRACE(params.to_string());
 
-  // Reference: materialize exactly as the pre-cursor refinement did.
-  TraceBuffer helper = make_helper_trace(trace, params);
-  for (TraceRecord& r : helper.mutable_records()) {
-    r.outer_iter = r.outer_iter >= params.a_ski ? r.outer_iter - params.a_ski : 0;
-  }
-  const TraceBuffer combined = merge_traces_by_iter(trace, helper);
-  const WorkloadSaResult sa_materialized =
-      analyze_workload_sa(combined, invocation_starts, l2);
-
-  // Streaming: the same stream as lazy cursor composition.
+  const WorkloadSaResult sa_oracle = analyze_workload_sa(
+      test::combined_stream(trace, params), invocation_starts, l2);
   MergeByIterCursor cursor(
       TraceViewCursor(trace),
       HelperViewCursor(trace, params, {}, /*re_anchor=*/true));
   const WorkloadSaResult sa_streaming =
       analyze_workload_sa(cursor, invocation_starts, l2);
-  expect_same_sa(sa_materialized, sa_streaming);
+  expect_same_sa(sa_oracle, sa_streaming);
 
-  // End to end through refine_with_helper under both flag settings. The base
-  // bound is arbitrary: refinement must treat it identically either way.
+  // End to end through refine_with_helper. The base bound is arbitrary:
+  // refinement must treat it exactly as the paper's rule does.
   DistanceBound base;
   base.original_min_sa = 64;
   base.upper_limit = 32;
-  const DistanceBound refined_materialized =
-      refine_with_helper(base, trace, invocation_starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = false});
-  const DistanceBound refined_streaming =
-      refine_with_helper(base, trace, invocation_starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = true});
-  expect_same_bound(refined_materialized, refined_streaming);
+  expect_same_bound(
+      oracle_refine(base, trace, invocation_starts, params, l2),
+      refine_with_helper(base, trace, invocation_starts, params, l2));
 }
 
 std::vector<SpParams> params_grid() {
@@ -128,14 +135,8 @@ TEST(TraceStreamEm3dTest, MultiInvocationWorkloadAgrees) {
   const DistanceBound base = estimate_distance_bound(trace, starts, l2);
   for (const SpParams& params : params_grid()) {
     compare_paths(trace, starts, params, l2);
-
-    const DistanceBound a =
-        refine_with_helper(base, trace, starts, params, l2,
-                           DistanceBoundOptions{.streaming_refine = false});
-    const DistanceBound b =
-        refine_with_helper(base, trace, starts, params, l2,
-                           DistanceBoundOptions{.streaming_refine = true});
-    expect_same_bound(a, b);
+    expect_same_bound(oracle_refine(base, trace, starts, params, l2),
+                      refine_with_helper(base, trace, starts, params, l2));
   }
 }
 
@@ -152,18 +153,16 @@ TEST(TraceStreamAllocationTest, StreamingRefineAllocatesNoTraceRecords) {
   const DistanceBound base = estimate_distance_bound(trace, starts, l2);
   const SpParams params = SpParams::from_distance_rp(4, 0.5);
 
-  // Positive control: the materializing reference grows trace storage.
+  // Positive control: the materializing oracle grows trace storage.
   const std::uint64_t before_ref = trace_hooks::record_allocations();
   const DistanceBound refined_ref =
-      refine_with_helper(base, trace, starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = false});
+      oracle_refine(base, trace, starts, params, l2);
   EXPECT_GT(trace_hooks::record_allocations(), before_ref);
 
-  // The streaming path must not touch TraceRecord storage at all.
+  // The streaming refinement must not touch TraceRecord storage at all.
   const std::uint64_t before = trace_hooks::record_allocations();
   const DistanceBound refined =
-      refine_with_helper(base, trace, starts, params, l2,
-                         DistanceBoundOptions{.streaming_refine = true});
+      refine_with_helper(base, trace, starts, params, l2);
   EXPECT_EQ(trace_hooks::record_allocations(), before)
       << "cursor-based refinement allocated trace-record storage";
   expect_same_bound(refined_ref, refined);
