@@ -26,9 +26,6 @@
 //                                iterations (default 1000)
 //   --max-distance=N             AIMD ceiling before any bound clamp
 //                                (default 1024)
-//   --warm                       carry simulator cache/MSHR state across
-//                                interval boundaries (default off: cold
-//                                intervals, the bit-identical reference)
 //   --jsonl=PATH                 JSONL artifact (- = stdout)
 //   --threads=N                  0 = hardware concurrency, 1 = serial
 //   --metrics-out= / --trace-out=  telemetry artifacts (adaptive.interval
@@ -113,7 +110,6 @@ int main(int argc, char** argv) {
       bench::require_uint(flags, "interval", 1000));
   spec.adaptive.max_distance = static_cast<std::uint32_t>(
       bench::require_uint(flags, "max-distance", 1024));
-  spec.adaptive.warm_intervals = flags.get_bool("warm", false);
   const std::string jsonl_path = flags.get("jsonl", "");
   // Constructed before the unknown-flag check: the sink consumes
   // --metrics-out=/--trace-out= and installs the telemetry session the sweep

@@ -29,8 +29,6 @@
 //                                iterations (default 1000)
 //   --max-distance=N             AIMD ceiling before any bound clamp
 //                                (default 1024)
-//   --warm                       carry simulator cache/MSHR state across
-//                                interval boundaries (default off)
 //   --phase-window=N             phase-detection window in outer iterations
 //                                (default 64)
 //   --phase-hysteresis=X         relative EMA shift that opens a new phase
@@ -134,7 +132,6 @@ int main(int argc, char** argv) {
       bench::require_uint(flags, "interval", 1000));
   spec.adaptive.max_distance = static_cast<std::uint32_t>(
       bench::require_uint(flags, "max-distance", 1024));
-  spec.adaptive.warm_intervals = flags.get_bool("warm", false);
   spec.phase.window_iters = static_cast<std::uint32_t>(
       bench::require_uint(flags, "phase-window", spec.phase.window_iters));
   spec.phase.hysteresis =

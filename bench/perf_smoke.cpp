@@ -13,8 +13,8 @@
 //                  via trace_hooks;
 //   distance_bound_refine — refine_with_helper over the em3d_ir trace (the
 //                  streaming TraceCursor pipeline);
-//   adaptive     — interval-chunked replay, cold vs warm intervals, held to
-//                  zero trace-record allocations;
+//   adaptive     — one continuous controller-driven replay, held to zero
+//                  trace-record allocations;
 //   sweep        — a small orchestrated 3-workload grid, in cells/second,
 //                  through a shared ExperimentContextPool whose trace-memo
 //                  hit rate is reported alongside;
@@ -160,10 +160,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- adaptive: interval-chunked replay, cold vs warm intervals ---------
-  // The streaming adaptive path shares the fused-replay contract: segments
-  // replay through cursor windows over the shared trace, so no per-interval
-  // trace is ever materialized (zero trace-record allocations, hard-checked).
+  // ---- adaptive: one continuous controller-driven replay ----------------
+  // The adaptive run shares the fused-replay contract: the helper is
+  // synthesized inside the replay and retuned in place at interval
+  // boundaries (zero trace-record allocations, hard-checked).
   SpExperimentConfig adaptive_base;  // params stay default: run_adaptive
   adaptive_base.sim.l2 = scale.l2;   // derives them per interval
   AdaptiveConfig acfg;
@@ -171,27 +171,14 @@ int main(int argc, char** argv) {
   acfg.max_distance = std::max(1u, base_bound.upper_limit);
   acfg.interval_iters = 1000;
   double adaptive_sec = 0.0;
-  double adaptive_warm_sec = 0.0;
   std::uint64_t adaptive_record_allocs = 0;
-  AdaptiveRunResult adaptive_cold;
+  AdaptiveRunResult adaptive_run;
   for (unsigned r = 0; r < reps; ++r) {
     const std::uint64_t allocs_before = trace_hooks::record_allocations();
-    const auto t_cold = Clock::now();
-    adaptive_cold = replay_ctx.run_adaptive(trace, adaptive_base, acfg);
-    adaptive_sec += seconds_since(t_cold);
-
-    AdaptiveConfig warm_cfg = acfg;
-    warm_cfg.warm_intervals = true;
-    const auto t_warm = Clock::now();
-    const AdaptiveRunResult warm =
-        replay_ctx.run_adaptive(trace, adaptive_base, warm_cfg);
-    adaptive_warm_sec += seconds_since(t_warm);
+    const auto t0 = Clock::now();
+    adaptive_run = replay_ctx.run_adaptive(trace, adaptive_base, acfg);
+    adaptive_sec += seconds_since(t0);
     adaptive_record_allocs += trace_hooks::record_allocations() - allocs_before;
-    if (warm.intervals != adaptive_cold.intervals) {
-      std::cerr << "perf_smoke: warm/cold adaptive interval count mismatch ("
-                << warm.intervals << " vs " << adaptive_cold.intervals << ")\n";
-      return 1;
-    }
   }
   if (adaptive_record_allocs != 0) {
     std::cerr << "perf_smoke: adaptive replay grew trace-record storage "
@@ -359,12 +346,11 @@ int main(int argc, char** argv) {
       .add("refine_streaming_sec", refine_sec / reps)
       .add("refine_upper_limit", base_bound.upper_limit)
       .add("adaptive_sec", adaptive_sec / reps)
-      .add("adaptive_warm_sec", adaptive_warm_sec / reps)
-      .add("adaptive_intervals", adaptive_cold.intervals)
+      .add("adaptive_intervals", adaptive_run.intervals)
       .add("adaptive_trajectory_len",
-           static_cast<std::uint64_t>(adaptive_cold.distance_trajectory.size()))
-      .add("adaptive_initial_distance", adaptive_cold.initial_distance)
-      .add("adaptive_final_distance", adaptive_cold.final_distance())
+           static_cast<std::uint64_t>(adaptive_run.distance_trajectory.size()))
+      .add("adaptive_initial_distance", adaptive_run.initial_distance)
+      .add("adaptive_final_distance", adaptive_run.final_distance())
       .add("adaptive_distance_cap", acfg.max_distance)
       .add("adaptive_record_allocations", adaptive_record_allocs)
       .add("sweep_cells", static_cast<std::uint64_t>(sweep.cells.size()))

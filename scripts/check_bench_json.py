@@ -56,9 +56,9 @@ checks, per file:
   * the replay cell performed zero trace-record allocations
     (`replay_fused_record_allocations == 0`: the helper is synthesized
     inside replay), via the trace_hooks::record_allocations hook;
-  * the adaptive interval replay honored its contracts: a non-empty
-    distance trajectory (`adaptive_trajectory_len > 0`), a final
-    distance within the controller's cap
+  * the adaptive run honored its contracts: a non-empty distance
+    trajectory (`adaptive_trajectory_len > 0`), a final distance within
+    the controller's cap
     (`adaptive_final_distance <= adaptive_distance_cap`), and zero
     trace-record allocations on the streaming adaptive path
     (`adaptive_record_allocations == 0`);
@@ -102,7 +102,6 @@ REQUIRED = {
     "refine_streaming_sec": NUMBER,
     "refine_upper_limit": int,
     "adaptive_sec": NUMBER,
-    "adaptive_warm_sec": NUMBER,
     "adaptive_intervals": int,
     "adaptive_trajectory_len": int,
     "adaptive_initial_distance": int,
@@ -134,7 +133,6 @@ STRICTLY_POSITIVE = [
     "replay_sec_per_cell",
     "refine_streaming_sec",
     "adaptive_sec",
-    "adaptive_warm_sec",
     "adaptive_intervals",
     "adaptive_trajectory_len",
     "adaptive_final_distance",

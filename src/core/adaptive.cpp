@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
-#include <span>
+#include <optional>
 #include <stdexcept>
-#include <vector>
 
 #include "spf/common/assert.hpp"
 #include "spf/core/experiment_context.hpp"
@@ -43,13 +42,13 @@ std::string AdaptiveConfig::validate() const {
 
 FeedbackDistanceController::FeedbackDistanceController(
     const AdaptiveConfig& config)
-    : config_(config),
-      distance_(std::clamp(config.initial_distance, config.min_distance,
-                           config.max_distance)),
-      effective_max_(config.max_distance) {
+    : config_(config), effective_max_(config.max_distance) {
+  // Checked before the clamp: std::clamp with max < min is undefined.
   SPF_ASSERT(config.min_distance >= 1, "distance must stay positive");
   SPF_ASSERT(config.min_distance <= config.max_distance, "empty distance range");
   SPF_ASSERT(config.increase_step >= 1, "increase step must be positive");
+  distance_ = std::clamp(config.initial_distance, config.min_distance,
+                         config.max_distance);
 }
 
 AdaptiveAction FeedbackDistanceController::observe(
@@ -92,56 +91,6 @@ std::string FeedbackDistanceController::to_string() const {
          "}";
 }
 
-namespace {
-
-/// One observation interval's slice of the trace: records [begin, end) all
-/// fall into the same interval_iters-sized outer-iteration chunk, replayed
-/// with outer_iter re-based by `iter_base`. Boundaries replicate the
-/// pre-redesign split_by_iters exactly — a new segment starts whenever
-/// outer_iter / interval_iters changes between consecutive records — so the
-/// cold path stays bit-identical to the materializing reference.
-struct Segment {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::uint32_t iter_base = 0;
-};
-
-std::vector<Segment> segment_by_iters(std::span<const TraceRecord> records,
-                                      std::uint32_t interval_iters) {
-  std::vector<Segment> segments;
-  std::int64_t current_index = -1;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const std::uint32_t chunk_index = records[i].outer_iter / interval_iters;
-    if (static_cast<std::int64_t>(chunk_index) != current_index) {
-      if (!segments.empty()) segments.back().end = i;
-      segments.push_back(
-          Segment{i, records.size(), chunk_index * interval_iters});
-      current_index = chunk_index;
-    }
-  }
-  return segments;
-}
-
-/// The pre-redesign per-interval aggregation (helper_finish intentionally
-/// not summed — per-interval helper finish times are not additive).
-void accumulate(SpRunSummary& agg, const SpRunSummary& run) {
-  agg.runtime += run.runtime;
-  agg.l2_lookups += run.l2_lookups;
-  agg.totally_hits += run.totally_hits;
-  agg.partially_hits += run.partially_hits;
-  agg.totally_misses += run.totally_misses;
-  agg.memory_requests += run.memory_requests;
-  agg.pollution.case1_reuse_displaced += run.pollution.case1_reuse_displaced;
-  agg.pollution.case2_helper_displaced += run.pollution.case2_helper_displaced;
-  agg.pollution.case3_hw_displaced += run.pollution.case3_hw_displaced;
-  agg.pollution.prefetch_caused_evictions +=
-      run.pollution.prefetch_caused_evictions;
-  agg.pollution.total_evictions += run.pollution.total_evictions;
-  agg.provenance.add(run.provenance);
-}
-
-}  // namespace
-
 AdaptiveRunResult ExperimentContext::run_adaptive(
     const TraceBuffer& main_trace, const SpExperimentConfig& base,
     const AdaptiveConfig& adaptive) {
@@ -162,10 +111,17 @@ AdaptiveRunResult ExperimentContext::run_adaptive(
   AdaptiveRunResult result;
   FeedbackDistanceController controller(adaptive);
   result.initial_distance = controller.distance();
+  if (main_trace.size() == 0) return result;
 
-  const std::span<const TraceRecord> records = main_trace.records();
-  SpRunSummary prev_cumulative;  // warm path: previous intervals' totals
-  bool first_interval = true;
+  // One continuous SP replay of the whole trace. An interval ends where the
+  // main core's next record reaches the next multiple of interval_iters: the
+  // run pauses there, the controller reads the interval's counters, and the
+  // helper adopts the new distance from the first round it has not served.
+  telemetry::count(telemetry::Counter::kReplayRuns);
+  telemetry::count(telemetry::Counter::kReplayRecords, main_trace.size());
+  const std::uint32_t interval = adaptive.interval_iters;
+  std::optional<std::uint32_t> next = main_trace.records().front().outer_iter;
+  SpRunSummary prev_cumulative;  // the run's totals at the last pause
   // Per-phase ceilings: the active cap is re-evaluated at every interval
   // boundary; the ceiling is re-clamped (and an event recorded) only when
   // the active phase changes. kNoCap covers iterations before the first
@@ -175,12 +131,12 @@ AdaptiveRunResult ExperimentContext::run_adaptive(
   constexpr std::ptrdiff_t kNoCap = -1;
   std::ptrdiff_t active_cap = kUnresolved;
   std::unique_ptr<telemetry::ScopedSpan> phase_span;
-  for (const Segment& seg :
-       segment_by_iters(records, adaptive.interval_iters)) {
+  while (next) {
+    const std::uint32_t first_iter = *next / interval * interval;
     if (!adaptive.phase_caps.empty()) {
       std::ptrdiff_t cap_idx = kNoCap;
       for (std::size_t c = 0; c < adaptive.phase_caps.size() &&
-                              adaptive.phase_caps[c].begin_iter <= seg.iter_base;
+                              adaptive.phase_caps[c].begin_iter <= first_iter;
            ++c) {
         cap_idx = static_cast<std::ptrdiff_t>(c);
       }
@@ -213,78 +169,49 @@ AdaptiveRunResult ExperimentContext::run_adaptive(
     telemetry::sample("adaptive.distance", distance);
     telemetry::gauge_max(telemetry::Gauge::kAdaptiveDistanceMax, distance);
 
-    SpExperimentConfig cfg = base;
-    cfg.params = SpParams::from_distance_rp(distance, adaptive.rp);
-    const std::span<const TraceRecord> segment =
-        records.subspan(seg.begin, seg.end - seg.begin);
-    telemetry::count(telemetry::Counter::kReplayRuns);
-    telemetry::count(telemetry::Counter::kReplayRecords, segment.size());
-
-    // Both cores replay through cursor windows over the shared trace — the
-    // demand core re-bases outer_iter on the fly, the helper synthesizes its
-    // stream inside replay — so no per-segment trace is ever materialized
-    // and the run allocates no trace-record storage.
-    main_feed_.emplace(RebaseViewCursor(segment, seg.iter_base));
-    helper_feed_.emplace(HelperViewCursor(segment, cfg.params, cfg.helper,
-                                          /*re_anchor=*/false, seg.iter_base));
-    const RoundSync sync{.leader = 0, .round_iters = cfg.params.round()};
-    const std::vector<CoreStream> streams = {
-        CoreStream{.source = &*main_feed_, .origin = FillOrigin::kDemand,
-                   .sync = std::nullopt},
-        CoreStream{.source = &*helper_feed_, .origin = FillOrigin::kHelper,
-                   .sync = sync},
-    };
-    const bool warm = adaptive.warm_intervals && !first_interval;
-    const SimResult sim =
-        warm ? simulator_.run_warm(streams) : simulator_.run(cfg.sim, streams);
-
-    telemetry::count(telemetry::Counter::kHelperRecords,
-                     helper_feed_->records_served());
-
-    const SpRunSummary summary = SpRunSummary::from(sim);
+    const SpParams params = SpParams::from_distance_rp(distance, adaptive.rp);
+    if (result.intervals == 0) {
+      SpExperimentConfig cfg = base;
+      cfg.params = params;
+      simulator_.start(cfg.sim, sp_streams(main_trace, cfg));
+    } else {
+      helper_feed_->cursor().retune(params);
+    }
+    next = simulator_.run_until(std::uint64_t{first_iter} + interval);
+    // Cumulative totals so far; the last interval ends with the finished run.
+    const SpRunSummary summary =
+        SpRunSummary::from(next ? simulator_.progress() : simulator_.finish());
     if (summary.provenance.enabled && telemetry::enabled()) {
       // Per-interval mean fill->first-use distance (demand L2 lookups), the
-      // timeliness companion of the adaptive.distance track. Warm runs report
-      // cumulative totals, so difference against the previous interval; a
-      // resident fill can migrate fate categories between warm snapshots, so
-      // guard against non-monotone deltas instead of asserting them.
+      // timeliness companion of the adaptive.distance track. A resident fill
+      // can migrate fate categories between snapshots, so guard against
+      // non-monotone deltas instead of asserting them.
       const ProvenanceSummary& cur = summary.provenance;
       const ProvenanceSummary& prev = prev_cumulative.provenance;
-      const bool cumulative = adaptive.warm_intervals;
       const std::uint64_t timely_delta =
-          cumulative ? (cur.used_timely > prev.used_timely
-                            ? cur.used_timely - prev.used_timely
-                            : 0)
-                     : cur.used_timely;
+          cur.used_timely > prev.used_timely
+              ? cur.used_timely - prev.used_timely
+              : 0;
       const std::uint64_t total_delta =
-          cumulative ? (cur.fill_to_use_total > prev.fill_to_use_total
-                            ? cur.fill_to_use_total - prev.fill_to_use_total
-                            : 0)
-                     : cur.fill_to_use_total;
+          cur.fill_to_use_total > prev.fill_to_use_total
+              ? cur.fill_to_use_total - prev.fill_to_use_total
+              : 0;
       if (timely_delta > 0) {
         telemetry::sample("prefetch.fill_to_use", total_delta / timely_delta);
       }
     }
+    // The controller wants this interval's deltas, and the final
+    // cumulative summary IS the aggregate.
     IntervalFeedback feedback;
-    if (adaptive.warm_intervals) {
-      // Warm runs report cumulative totals; the controller wants this
-      // interval's deltas, and the final cumulative summary IS the aggregate.
-      feedback.l2_lookups = summary.l2_lookups - prev_cumulative.l2_lookups;
-      feedback.partially_hits =
-          summary.partially_hits - prev_cumulative.partially_hits;
-      feedback.totally_misses =
-          summary.totally_misses - prev_cumulative.totally_misses;
-      feedback.pollution_events = summary.pollution.total_pollution() -
-                                  prev_cumulative.pollution.total_pollution();
-      result.aggregate = summary;
-      prev_cumulative = summary;
-    } else {
-      feedback.l2_lookups = summary.l2_lookups;
-      feedback.partially_hits = summary.partially_hits;
-      feedback.totally_misses = summary.totally_misses;
-      feedback.pollution_events = summary.pollution.total_pollution();
-      accumulate(result.aggregate, summary);
-    }
+    feedback.l2_lookups = summary.l2_lookups - prev_cumulative.l2_lookups;
+    feedback.partially_hits =
+        summary.partially_hits - prev_cumulative.partially_hits;
+    feedback.totally_misses =
+        summary.totally_misses - prev_cumulative.totally_misses;
+    feedback.pollution_events = summary.pollution.total_pollution() -
+                                prev_cumulative.pollution.total_pollution();
+    result.aggregate = summary;
+    prev_cumulative = summary;
 
     result.distance_trajectory.push_back(distance);
     ++result.intervals;
@@ -299,8 +226,9 @@ AdaptiveRunResult ExperimentContext::run_adaptive(
         telemetry::count(telemetry::Counter::kAdaptiveHolds);
         break;
     }
-    first_interval = false;
   }
+  telemetry::count(telemetry::Counter::kHelperRecords,
+                   helper_feed_->records_served());
   result.increases = controller.increases();
   result.decreases = controller.decreases();
   telemetry::gauge_max(telemetry::Gauge::kArenaBytesMax, arena_.bytes_served());

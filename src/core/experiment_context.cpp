@@ -24,25 +24,28 @@ SpRunSummary ExperimentContext::run_original(const TraceBuffer& main_trace,
   return SpRunSummary::from(result);
 }
 
+std::vector<CoreStream> ExperimentContext::sp_streams(
+    const TraceBuffer& main_trace, const SpExperimentConfig& config) {
+  // The helper core pulls its records through a HelperViewCursor window
+  // *during* replay, so helper synthesis is part of the replay and no helper
+  // trace is ever stored. Round-labelled records gate with round_iters = 1.
+  helper_feed_.emplace(HelperViewCursor::round_labelled(
+      main_trace, config.params, config.helper));
+  return {
+      CoreStream{.trace = &main_trace, .origin = FillOrigin::kDemand,
+                 .sync = std::nullopt},
+      CoreStream{.source = &*helper_feed_, .origin = FillOrigin::kHelper,
+                 .sync = RoundSync{.leader = 0, .round_iters = 1}},
+  };
+}
+
 SpRunSummary ExperimentContext::run_sp_once(const TraceBuffer& main_trace,
                                             const SpExperimentConfig& config) {
   SPF_SPAN("replay");
   telemetry::count(telemetry::Counter::kReplayRuns);
   telemetry::count(telemetry::Counter::kReplayRecords, main_trace.size());
-  const RoundSync sync{.leader = 0, .round_iters = config.params.round()};
-  // The helper core pulls its records through a HelperViewCursor window
-  // *during* replay, so helper synthesis is part of this span (no separate
-  // helper-gen phase) and no helper trace is ever stored.
-  helper_feed_.emplace(
-      HelperViewCursor(main_trace, config.params, config.helper));
-  const SimResult result = simulator_.run(
-      config.sim,
-      {
-          CoreStream{.trace = &main_trace, .origin = FillOrigin::kDemand,
-                     .sync = std::nullopt},
-          CoreStream{.source = &*helper_feed_, .origin = FillOrigin::kHelper,
-                     .sync = sync},
-      });
+  const SimResult result =
+      simulator_.run(config.sim, sp_streams(main_trace, config));
   telemetry::count(telemetry::Counter::kHelperRecords,
                    helper_feed_->records_served());
   telemetry::gauge_max(telemetry::Gauge::kArenaBytesMax, arena_.bytes_served());

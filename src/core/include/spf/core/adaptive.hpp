@@ -15,8 +15,8 @@
 //     high (fills arriving late)           -> distance += step (too late)
 //   otherwise                              -> hold
 //
-// docs/adaptive.md covers the policy table, the interval-replay semantics
-// (cold vs. warm), and how the static Set-Affinity bound caps the walk.
+// docs/adaptive.md covers the policy table, the continuous interval replay,
+// and how the static Set-Affinity bound caps the walk.
 #pragma once
 
 #include <cstdint>
@@ -53,18 +53,13 @@ struct AdaptiveConfig {
   /// Partially-hit share of memory accesses above which prefetches are
   /// deemed too late (data still in flight when the core arrives).
   double late_share = 0.10;
-  /// Observation interval length in outer iterations of the hot loop.
+  /// Observation interval length in outer iterations of the hot loop: the
+  /// run pauses for the controller each time the main thread reaches the
+  /// next multiple of it.
   std::uint32_t interval_iters = 1000;
   /// RP = A_PRE / (A_SKI + A_PRE) used to derive SpParams from the
   /// controller's distance each interval (SpParams::from_distance_rp).
   double rp = 0.5;
-  /// Carry simulator state (caches, MSHR, memory channels, core clocks)
-  /// across interval boundaries instead of restarting each interval cold.
-  /// The cold default is the documented approximation — and the
-  /// bit-identical reference the differential tests pin — while the warm
-  /// path removes the per-interval warmup transient. Warm aggregates are
-  /// one continuous run's totals, not a sum of independent interval runs.
-  bool warm_intervals = false;
   /// Per-phase ceilings, sorted by strictly increasing begin_iter. When
   /// non-empty, run_adaptive re-clamps the controller's ceiling at each
   /// interval boundary to the cap of the phase covering the interval's first
@@ -124,11 +119,6 @@ class FeedbackDistanceController {
   std::uint64_t decreases_ = 0;
 };
 
-/// Emulated adaptive run: cuts the trace into interval_iters-sized segments,
-/// simulates each under SP at the controller's current distance, feeds the
-/// counters back, and aggregates. Cold intervals restart the simulator per
-/// segment; warm_intervals carries cache/MSHR state across boundaries (the
-/// aggregate is then the continuous run's cumulative summary).
 /// One ceiling re-clamp applied at an interval boundary (phase_caps only).
 struct PhaseReclampEvent {
   /// Interval index (into distance_trajectory) the new ceiling first applied
@@ -143,10 +133,13 @@ struct PhaseReclampEvent {
   std::uint32_t distance_after = 0;
 };
 
+/// An adaptive run: one continuous SP replay of the whole trace whose helper
+/// is retuned at every interval boundary (ExperimentContext::run_adaptive).
 struct AdaptiveRunResult {
   SpRunSummary aggregate;
-  /// Distance in effect during each interval (so trajectory.front() is the
-  /// clamped initial distance whenever at least one interval ran).
+  /// The controller's setting for each interval (trajectory.front() is the
+  /// clamped initial distance whenever an interval ran); the helper adopts
+  /// each setting from its next unserved round, up to a round later.
   std::vector<std::uint32_t> distance_trajectory;
   std::uint64_t intervals = 0;
   /// The controller's starting distance (initial_distance clamped into
@@ -179,9 +172,9 @@ struct AdaptiveRunResult {
 /// lives in ExperimentContext::run_adaptive — hot callers that run many
 /// adaptive experiments should lease a context from ExperimentContextPool
 /// instead). The controller derives SpParams from its distance and
-/// adaptive.rp each interval, so `base.params` must be left default;
-/// a non-default value throws std::invalid_argument rather than being
-/// silently ignored. Throws std::invalid_argument on an invalid
+/// adaptive.rp at each interval boundary, so `base.params` must be left
+/// default; a non-default value throws std::invalid_argument rather than
+/// being silently ignored. Throws std::invalid_argument on an invalid
 /// AdaptiveConfig (see AdaptiveConfig::validate).
 [[nodiscard]] AdaptiveRunResult run_adaptive_experiment(
     const TraceBuffer& trace, const SpExperimentConfig& base,

@@ -14,7 +14,7 @@
 //     when the context dies, never per cell);
 //   - a fixed-ring helper feed (CursorWindowSource<HelperViewCursor>) that
 //     synthesizes the helper stream *inside* replay, so no helper trace is
-//     ever materialized.
+//     ever materialized — the one feed static and adaptive SP runs share.
 //
 // Results are bit-identical to the free functions — every reset seam is
 // specified "as-if freshly constructed", and the golden-sweep and replay
@@ -68,15 +68,13 @@ class ExperimentContext {
   SpComparison run_comparison(const TraceBuffer& main_trace,
                               const SpExperimentConfig& config);
 
-  /// Feedback-directed adaptive-distance run: slices `main_trace` into
-  /// AdaptiveConfig::interval_iters-sized outer-iteration segments and
-  /// replays each at the controller's current distance, entirely through
-  /// cursor windows (RebaseViewCursor for the demand core, HelperViewCursor
-  /// for the helper) — no per-segment trace materialization, zero
-  /// trace-record allocations. Identical to spf::run_adaptive_experiment;
-  /// cold intervals (the default) are bit-identical to the materializing
-  /// pre-redesign implementation, pinned by
-  /// tests/adaptive_property_test.cpp. See docs/adaptive.md.
+  /// Feedback-directed adaptive-distance run: one continuous SP replay of
+  /// `main_trace` that pauses each time the main core reaches the next
+  /// AdaptiveConfig::interval_iters boundary, feeds the controller that
+  /// interval's counters, and retunes the helper feed, which adopts the new
+  /// distance from its next unserved round. Zero trace-record allocations.
+  /// A controller that cannot move replays exactly like run_sp_once.
+  /// Identical to spf::run_adaptive_experiment; see docs/adaptive.md.
   AdaptiveRunResult run_adaptive(const TraceBuffer& main_trace,
                                  const SpExperimentConfig& base,
                                  const AdaptiveConfig& adaptive);
@@ -95,19 +93,18 @@ class ExperimentContext {
   /// both several percent slower; see bench/perf_smoke).
   static constexpr std::size_t kHelperFeedWindow = 4096;
 
+  /// An SP run's streams: the main trace on core 0 and, gated on it, the
+  /// helper feed rebuilt over `main_trace` on core 1.
+  std::vector<CoreStream> sp_streams(const TraceBuffer& main_trace,
+                                     const SpExperimentConfig& config);
+
   Arena arena_;
   CmpSimulator simulator_;
-  /// Fused helper synthesis: a HelperViewCursor over the (memo-shared) main
-  /// trace, windowed for the simulator's pull seam. Rebuilt per SP run
-  /// (cheap: fixed ring storage, no allocation); optional because the cursor
-  /// binds to a specific trace + params.
+  /// Fused helper synthesis: a round-labelled HelperViewCursor over the
+  /// (memo-shared) main trace, windowed for the simulator's pull seam.
+  /// Optional because the cursor binds to a specific trace + params.
   std::optional<CursorWindowSource<HelperViewCursor, kHelperFeedWindow>>
       helper_feed_;
-  /// Adaptive interval replay's demand-core feed: a RebaseViewCursor over the
-  /// current trace segment, windowed like the helper feed. Only run_adaptive
-  /// touches it (the plain SP paths feed the main trace as one window).
-  std::optional<CursorWindowSource<RebaseViewCursor, kHelperFeedWindow>>
-      main_feed_;
 };
 
 /// Fixed-size pool of contexts for concurrent sweep workers. Lease a context,

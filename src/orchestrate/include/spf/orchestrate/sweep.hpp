@@ -104,10 +104,10 @@ struct SweepSpec {
   /// Compute cycles the helper spends per kept record.
   std::uint16_t helper_compute_gap = 0;
   /// Distance-controller axis, innermost in the grid order. Adaptive cells
-  /// replay the trace in intervals through ExperimentContext::run_adaptive
-  /// and record the controller's distance trajectory in
-  /// CellResult::adaptive; static cells are the classic fixed-distance SP
-  /// runs.
+  /// replay the trace once through ExperimentContext::run_adaptive, retuned
+  /// at every interval boundary, and record the controller's distance
+  /// trajectory in CellResult::adaptive; static cells are the classic
+  /// fixed-distance SP runs.
   std::vector<ControllerKind> controllers = {ControllerKind::kStatic};
   /// Shared controller policy for adaptive cells. initial_distance and rp
   /// are overwritten per cell (from the cell's distance / RP axes);

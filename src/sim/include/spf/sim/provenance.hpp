@@ -43,7 +43,7 @@
 namespace spf {
 
 /// Per-run provenance results. Plain additive counters plus fixed-size
-/// histograms, so summaries can be merged across adaptive intervals.
+/// histograms, so summaries of separate runs can be merged.
 struct ProvenanceSummary {
   static constexpr std::size_t kHistogramBuckets = 32;
 
@@ -101,8 +101,7 @@ struct ProvenanceSummary {
                                   static_cast<double>(used_timely);
   }
 
-  /// Merge `other` into this summary (adaptive cold intervals accumulate
-  /// per-interval summaries). No-op when `other` is disabled.
+  /// Merge `other` into this summary. No-op when `other` is disabled.
   void add(const ProvenanceSummary& other) noexcept;
 
   /// Bucket index for a demand-lookup distance: 0 for 0, else
@@ -169,8 +168,8 @@ class ProvenanceTracker {
 
   /// Snapshot the summary: resolved fates plus a provisional classification
   /// of still-live fills (resident_unused / used_timely), and the per-set
-  /// pollution heatmap. Const — warm adaptive intervals snapshot repeatedly
-  /// while the run continues.
+  /// pollution heatmap. Const — a paused run (CmpSimulator::progress)
+  /// snapshots mid-replay and then continues.
   [[nodiscard]] ProvenanceSummary snapshot(
       const std::vector<std::uint64_t>& per_set_pollution) const;
 

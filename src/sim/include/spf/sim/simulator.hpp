@@ -16,13 +16,13 @@
 // Replay is batched: one scheduler round per *run* of records that the round
 // provably keeps on the same core — the batch ends on core switch
 // (next-access time reaches a rival's), round boundary, helper-sync progress
-// point, or trace end (see docs/simulator.md). Every core pulls its records
-// through a RecordSource window — the seam that lets a core consume a lazily
-// synthesized stream (the fused SP helper) that is never materialized; a
-// materialized TraceBuffer is served as one window. The record-at-a-time
-// reference scheduler the batched loop is pinned against lives in
-// tests/replay_oracle.hpp. See docs/simulator.md "Batched replay & vector tag
-// match" and "Cursor-fed cores & the peek window".
+// point, pause point, or trace end (see docs/simulator.md). Every core pulls
+// its records through a RecordSource window — the seam that lets a core
+// consume a lazily synthesized stream (the fused SP helper) that is never
+// materialized; a materialized TraceBuffer is served as one window. The
+// record-at-a-time reference scheduler the batched loop is pinned against
+// lives in tests/replay_oracle.hpp. See docs/simulator.md "Batched replay &
+// vector tag match" and "Cursor-fed cores & the peek window".
 #pragma once
 
 #include <cstdint>
@@ -81,30 +81,27 @@ class CmpSimulator {
   /// result as constructing a fresh CmpSimulator(config) and running it.
   SimResult run(const SimConfig& config, const std::vector<CoreStream>& streams);
 
-  /// Continues a prior run() with *warm* hardware state: rebinds the streams
-  /// (fresh feeds, sync, origins) but keeps the shared L2/MSHR/memory
-  /// channel/pollution tracker, each core's private L1 + hw prefetchers, and
-  /// every core's local clock, so the new streams observe the machine exactly
-  /// as the previous streams left it. This is the adaptive interval-replay
-  /// seam (spf/core/adaptive.hpp, AdaptiveConfig::warm_intervals): each
-  /// interval re-enters the simulator without the cold-start transient.
-  ///
-  /// Requires a completed run() before the first call and the same stream
-  /// count as that run (core i keeps being core i). The returned metrics are
-  /// CUMULATIVE since the last cold run() — per-core counters, pollution
-  /// cases, stats, and finish times all keep accumulating; callers wanting
-  /// per-interval deltas difference successive results. The simulator's
-  /// config is not re-read: the run continues under the config of the last
-  /// cold run(). No telemetry counters are surfaced (the cold run already
-  /// surfaced the totals' base; re-adding cumulative values would
-  /// double-count).
-  SimResult run_warm(const std::vector<CoreStream>& streams);
+  /// run() in steps, for callers acting between intervals (the adaptive
+  /// controller, spf/core/adaptive.hpp): start() resets like run();
+  /// run_until(iter) replays until core 0's pending record reaches outer
+  /// iteration `iter`, returning that record's outer_iter, or until every
+  /// stream ends (nullopt; an `iter` of 2^32 or more never pauses); finish()
+  /// drains and collects. Pauses are batch ends, so they leave the replay
+  /// unchanged; between calls the caller may read progress() and retune
+  /// records its sources have not served yet.
+  void start(const SimConfig& config, const std::vector<CoreStream>& streams);
+  std::optional<std::uint32_t> run_until(std::uint64_t iter);
+  SimResult finish();
+
+  /// The run so far, as finish() would report it before its final drain
+  /// (provisional provenance), minus occupancy samples and top sets.
+  [[nodiscard]] SimResult progress() const;
 
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
 
  private:
   /// The record-at-a-time reference scheduler (tests/replay_oracle.hpp)
-  /// drives reset(), the gate checks, step_batch() and collect() directly.
+  /// drives reset(), the gate checks and step_batch() directly.
   friend struct test::ReplayOracle;
 
   /// Widest topology the scheduler supports: the batched loop tracks the
@@ -147,14 +144,9 @@ class CmpSimulator {
     bool gate_leader_started_seen = false;
   };
 
+  static constexpr std::uint64_t kNoPause = std::uint64_t{1} << 32;
+
   void reset(const std::vector<CoreStream>& streams);
-  /// Per-core stream (re)binding shared by reset() and run_warm(): feeds,
-  /// origin/sync, gating memos. `warm` keeps each core's clock, L1,
-  /// prefetchers, and cumulative metrics instead of zeroing them.
-  void bind_streams(const std::vector<CoreStream>& streams, bool warm);
-  /// Final drain + metrics collection over a finished replay (the shared
-  /// tail of run() and run_warm()).
-  SimResult collect();
 
   // The record feed: done / pending (peek, no consume) / consume. The
   // simulator only ever peeks the *pending* record (compute_gap for
@@ -183,14 +175,17 @@ class CmpSimulator {
   /// Refresh `core.gate_next_round` from the pending record (call after the
   /// feed position moves).
   void refresh_gate_round(CoreState& core) const;
-  /// The scheduler: one round per same-core batch.
-  void run_loop();
+  /// The scheduler: one round per same-core batch. Returns true when it
+  /// stopped because core 0's pending record reached pause_iter_, false
+  /// when every stream is done.
+  bool run_loop();
   /// Process records of core `id` until the scheduler could pick a different
   /// core: its next-access time reaches limit_lo (rival with a lower id) or
   /// exceeds limit_hi (rival with a higher id), a gate-relevant progress
   /// point passes (`leader_sensitive`: some currently-gated core waits on
   /// this one), the pending record enters a new round of this core's own
-  /// sync, or the trace ends. limit_lo = 0 ends the batch after one record.
+  /// sync, core 0's pending record reaches pause_iter_, or the trace ends.
+  /// limit_lo = 0 ends the batch after one record.
   void step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
                   bool leader_sensitive);
   /// Demand path for one record; returns the completion time of the access.
@@ -225,6 +220,8 @@ class CmpSimulator {
   std::vector<MshrEntry> drain_scratch_;
   OccupancySeries occupancy_;
   Cycle next_occupancy_sample_ = 0;
+  /// Outer iteration at which core 0 pauses the replay (run_until).
+  std::uint64_t pause_iter_ = kNoPause;
 };
 
 }  // namespace spf

@@ -111,7 +111,7 @@ ProvenanceSummary ProvenanceTracker::snapshot(
     const std::vector<std::uint64_t>& per_set_pollution) const {
   ProvenanceSummary out = resolved_;
   // Provisionally classify still-live fills so the fate counts partition the
-  // tracked fills even mid-run (warm adaptive snapshots). A resident fill may
+  // tracked fills even mid-run (a paused adaptive run). A resident fill may
   // migrate between categories across snapshots; the partition holds at each.
   for (std::size_t slot = 0; slot < flags_.size(); ++slot) {
     const std::uint8_t f = flags_[slot];

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "spf/common/assert.hpp"
 #include "spf/telemetry/telemetry.hpp"
@@ -96,11 +97,6 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
   active_ = streams.size();
   if (cores_.size() < active_) cores_.resize(active_);
 
-  bind_streams(streams, /*warm=*/false);
-}
-
-void CmpSimulator::bind_streams(const std::vector<CoreStream>& streams,
-                                bool warm) {
   for (std::size_t i = 0; i < active_; ++i) {
     CoreState& core = cores_[i];
     SPF_ASSERT(streams[i].trace != nullptr || streams[i].source != nullptr,
@@ -116,17 +112,15 @@ void CmpSimulator::bind_streams(const std::vector<CoreStream>& streams,
     }
     core.window = core.source->next_window();
     core.win_pos = 0;
-    if (!warm) {
-      core.clock = 0;
-      core.metrics = ThreadMetrics{};
-      if (core.l1) {
-        core.l1->reset_to(config_.l1, ReplacementKind::kLru, config_.seed + i);
-      } else {
-        core.l1.emplace(config_.l1, ReplacementKind::kLru, config_.seed + i,
-                        arena_);
-      }
-      core.prefetcher.emplace(config_.l2.line_bytes());
+    core.clock = 0;
+    core.metrics = ThreadMetrics{};
+    if (core.l1) {
+      core.l1->reset_to(config_.l1, ReplacementKind::kLru, config_.seed + i);
+    } else {
+      core.l1.emplace(config_.l1, ReplacementKind::kLru, config_.seed + i,
+                      arena_);
     }
+    core.prefetcher.emplace(config_.l2.line_bytes());
     core.outer_iter = 0;
     core.started = false;
     core.origin = streams[i].origin;
@@ -137,16 +131,14 @@ void CmpSimulator::bind_streams(const std::vector<CoreStream>& streams,
                  "round sync leader must be another configured core");
       SPF_ASSERT(core.sync->round_iters > 0, "round length must be positive");
     }
-    core.next_time = core.clock;
+    core.next_time = 0;
     core.gate_next_round = 0;
     core.gate_next_outer_seen = ~std::uint32_t{0};
     core.gate_leader_round = 0;
     core.gate_leader_outer_seen = 0;
     core.gate_leader_started_seen = false;
     refresh_gate_round(core);
-    if (!feed_done(core)) {
-      core.next_time = core.clock + feed_pending(core).compute_gap;
-    }
+    if (!feed_done(core)) core.next_time = feed_pending(core).compute_gap;
   }
 }
 
@@ -181,62 +173,65 @@ bool CmpSimulator::gated(CoreState& core) const {
 }
 
 SimResult CmpSimulator::run(const std::vector<CoreStream>& streams) {
+  return run(config_, streams);
+}
+
+SimResult CmpSimulator::run(const SimConfig& config,
+                            const std::vector<CoreStream>& streams) {
+  start(config, streams);
+  (void)run_until(kNoPause);
+  return finish();
+}
+
+void CmpSimulator::start(const SimConfig& config,
+                         const std::vector<CoreStream>& streams) {
+  config_ = config;
   reset(streams);
-  run_loop();
-  SimResult result = collect();
+}
+
+std::optional<std::uint32_t> CmpSimulator::run_until(std::uint64_t iter) {
+  pause_iter_ = iter;
+  if (!run_loop()) return std::nullopt;
+  return feed_pending(cores_[0]).outer_iter;
+}
+
+SimResult CmpSimulator::finish() {
+  // Install every still-outstanding fill so final cache state and pollution
+  // accounting reflect all issued traffic.
+  drain_l2(std::numeric_limits<Cycle>::max());
+  SimResult result = progress();
+  result.occupancy = std::move(occupancy_);
+  result.top_polluted_sets = pollution_->top_polluted_sets(16);
   surface_run_telemetry(result);
   return result;
 }
 
-SimResult CmpSimulator::run_warm(const std::vector<CoreStream>& streams) {
-  SPF_ASSERT(l2_.has_value(), "run_warm continues a prior run(); none ran");
-  SPF_ASSERT(streams.size() == active_,
-             "run_warm must bind the same number of streams as the cold run");
-  bind_streams(streams, /*warm=*/true);
-  // Cumulative metrics: the cold run() already surfaced telemetry for the
-  // base totals, so warm continuations stay silent (see header contract).
-  run_loop();
-  return collect();
-}
-
-SimResult CmpSimulator::collect() {
-  // Install every still-outstanding fill so final cache state and pollution
-  // accounting reflect all issued traffic.
-  drain_l2(std::numeric_limits<Cycle>::max());
-
+SimResult CmpSimulator::progress() const {
   SimResult result;
   result.per_core.reserve(active_);
   for (std::size_t i = 0; i < active_; ++i) {
-    CoreState& core = cores_[i];
-    core.metrics.finish_time = core.clock;
-    result.per_core.push_back(core.metrics);
-    result.makespan = std::max(result.makespan, core.clock);
+    result.per_core.push_back(cores_[i].metrics);
+    result.per_core.back().finish_time = cores_[i].clock;
+    result.makespan = std::max(result.makespan, cores_[i].clock);
   }
   result.pollution = pollution_->stats();
   result.l2 = l2_->stats();
   result.mshr = mshr_->stats();
   result.memory = memory_->stats();
   result.hw_prefetches_issued = hw_prefetches_issued_;
-  // Copy, not move: a warm continuation must keep appending to the series.
-  result.occupancy = occupancy_;
   result.polluted_set_count = pollution_->polluted_set_count();
-  result.top_polluted_sets = pollution_->top_polluted_sets(16);
   if (provenance_) {
-    // Snapshot, not drain: a warm continuation keeps accumulating, so the
-    // still-live fills are classified provisionally each time.
     result.provenance = provenance_->snapshot(pollution_->per_set());
   }
   return result;
 }
 
-SimResult CmpSimulator::run(const SimConfig& config,
-                            const std::vector<CoreStream>& streams) {
-  config_ = config;
-  return run(streams);
-}
-
-void CmpSimulator::run_loop() {
+bool CmpSimulator::run_loop() {
   for (;;) {
+    if (!feed_done(cores_[0]) &&
+        feed_pending(cores_[0]).outer_iter >= pause_iter_) {
+      return true;
+    }
     CoreId pick = std::numeric_limits<CoreId>::max();
     Cycle best = std::numeric_limits<Cycle>::max();
     bool any_remaining = false;
@@ -265,7 +260,7 @@ void CmpSimulator::run_loop() {
         pick = i;
       }
     }
-    if (!any_remaining) break;
+    if (!any_remaining) return false;
     SPF_ASSERT(pick != std::numeric_limits<CoreId>::max(),
                "all remaining cores gated: sync cycle");
 
@@ -297,6 +292,7 @@ void CmpSimulator::step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
   CoreState& core = cores_[id];
   const bool self_sync = core.sync.has_value();
   const bool sampling = config_.occupancy_sample_interval != 0;
+  const std::uint64_t pause = id == 0 ? pause_iter_ : kNoPause;
   // Invariant at the top of each iteration: a full scheduler round run now
   // would pick this core again (the caller's round did for the first record;
   // the break conditions below re-establish it for every later one).
@@ -328,7 +324,7 @@ void CmpSimulator::step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
     }
     if (feed_done(core)) return;
     core.next_time = core.clock + feed_pending(core).compute_gap;
-    if (gate_event) return;
+    if (gate_event || feed_pending(core).outer_iter >= pause) return;
     if (self_sync && feed_pending(core).outer_iter != core.outer_iter) {
       // The pending record may open a new round of this core's own sync:
       // the scheduler must re-evaluate gated() before it issues.

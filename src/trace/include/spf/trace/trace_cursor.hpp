@@ -97,61 +97,6 @@ template <TraceCursor C>
   return out;
 }
 
-/// TraceViewCursor variant that re-bases outer_iter: serves records_[i] with
-/// outer_iter - iter_base, storing nothing beyond the one transformed record.
-/// The adaptive interval replay (spf/core/adaptive.hpp) slices one trace into
-/// outer-iteration segments and replays each as if it started at iteration 0
-/// — exactly what the materializing reference's per-chunk rebase produced —
-/// without copying the segment. Does not own the storage; the underlying
-/// buffer must outlive the cursor. Records with outer_iter < iter_base are a
-/// caller error (the subtraction would wrap).
-class RebaseViewCursor {
- public:
-  RebaseViewCursor() = default;
-  RebaseViewCursor(std::span<const TraceRecord> records,
-                   std::uint32_t iter_base) noexcept
-      : records_(records), iter_base_(iter_base) {
-    settle();
-  }
-
-  [[nodiscard]] bool done() const noexcept { return pos_ >= records_.size(); }
-  [[nodiscard]] const TraceRecord& current() const noexcept { return current_; }
-  void advance() noexcept {
-    ++pos_;
-    settle();
-  }
-  void reset() noexcept {
-    pos_ = 0;
-    settle();
-  }
-
-  /// Bulk form (see BulkTraceCursor): one flat copy-and-rebase loop.
-  std::size_t fill(TraceRecord* dst, std::size_t cap) noexcept {
-    std::size_t n = 0;
-    for (; n < cap && pos_ < records_.size(); ++pos_, ++n) {
-      dst[n] = records_[pos_];
-      dst[n].outer_iter -= iter_base_;
-    }
-    settle();
-    return n;
-  }
-
- private:
-  void settle() noexcept {
-    if (pos_ >= records_.size()) return;
-    current_ = records_[pos_];
-    current_.outer_iter -= iter_base_;
-  }
-
-  std::span<const TraceRecord> records_{};
-  std::uint32_t iter_base_ = 0;
-  std::size_t pos_ = 0;
-  TraceRecord current_{};
-};
-
-static_assert(TraceCursor<RebaseViewCursor>);
-static_assert(BulkTraceCursor<RebaseViewCursor>);
-
 /// Lazy k-way merge of record streams ordered by outer_iter: among the input
 /// cursors whose current record has the minimal outer_iter, the
 /// lowest-indexed input wins. For two inputs a and b this takes the head of
@@ -319,6 +264,9 @@ class CursorWindowSource final : public RecordSource {
   /// Records handed out since construction/reset() — how large the stream a
   /// consumer pulled would have been, had it been materialized.
   [[nodiscard]] std::uint64_t records_served() const noexcept { return served_; }
+
+  /// The wrapped cursor, e.g. to retune a HelperViewCursor between windows.
+  [[nodiscard]] C& cursor() noexcept { return cursor_; }
 
  private:
   C cursor_;

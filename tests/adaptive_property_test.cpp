@@ -5,22 +5,31 @@
 //     feedback streams — the distance never leaves [min, max], every step is
 //     exactly the AIMD arithmetic (halve-with-floor / add-with-cap), and the
 //     action tallies reconcile with the observed actions;
-//   * the streaming cold path of ExperimentContext::run_adaptive is
-//     bit-identical to the pre-redesign materializing reference (re-built
-//     inline here: split the trace into re-based per-interval TraceBuffers,
-//     run each through the free run_sp_once, accumulate) — and allocates
-//     zero trace-record storage while the reference allocates plenty;
-//   * warm intervals share the cold path's structure (same interval count
-//     and starting distance, distances always in bounds) while reporting one
-//     continuous run's cumulative aggregate.
+//   * a frozen controller (min = max = initial = d) replays exactly like the
+//     static SP cell at d — run_sp_once — on em3d, em3d-late, mcf and mst at
+//     every auto-ladder distance and at one d >= interval_iters: the pauses
+//     and same-distance retunes of the continuous run change nothing;
+//   * an adaptive run with real retunes is identical to the same control
+//     loop driven through the record-at-a-time oracle (tests/replay_oracle.hpp)
+//     at the same pause points, over seeded random IR traces and em3d; it
+//     does not depend on the helper feed's window size (1, 7, 4096 records)
+//     and allocates no trace-record storage.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "ir_fuzz_util.hpp"
+#include "replay_oracle.hpp"
+#include "sim_test_util.hpp"
 #include "spf/core/adaptive.hpp"
 #include "spf/core/experiment_context.hpp"
+#include "spf/ir/interp.hpp"
+#include "spf/orchestrate/sweep.hpp"
+#include "spf/orchestrate/workload_specs.hpp"
 #include "spf/workloads/synthetic.hpp"
 
 namespace spf {
@@ -91,7 +100,9 @@ TEST(AdaptiveControllerProperty, BoundsArithmeticAndCounters) {
           EXPECT_EQ(after, before);
           break;
       }
-      if (fb.l2_lookups == 0) EXPECT_EQ(action, AdaptiveAction::kHold);
+      if (fb.l2_lookups == 0) {
+        EXPECT_EQ(action, AdaptiveAction::kHold);
+      }
     }
     EXPECT_EQ(c.increases(), increases);
     EXPECT_EQ(c.decreases(), decreases);
@@ -130,67 +141,43 @@ TEST(AdaptiveRunResultTest, EmptyTrajectoryReportsInitialDistance) {
   EXPECT_NEAR(r.mean_distance(), (16.0 + 8.0 + 4.0) / 3.0, 1e-12);
 }
 
-// ---- cold-path differential against the pre-redesign reference ------------
+// ---- frozen controller == static cell --------------------------------------
 
-/// The removed materializing implementation, verbatim in behaviour: one
-/// re-based TraceBuffer per interval, a throwaway simulator per segment via
-/// the free run_sp_once, field-by-field aggregation (helper_finish not
-/// summed — per-interval finish times are not additive).
-AdaptiveRunResult legacy_reference(const TraceBuffer& trace,
-                                   const SpExperimentConfig& base,
-                                   const AdaptiveConfig& adaptive) {
-  std::vector<TraceBuffer> chunks;
-  std::int64_t current_index = -1;
-  std::uint32_t chunk_base = 0;
-  for (const TraceRecord& r : trace) {
-    const std::uint32_t chunk_index = r.outer_iter / adaptive.interval_iters;
-    if (static_cast<std::int64_t>(chunk_index) != current_index) {
-      chunks.emplace_back();
-      current_index = chunk_index;
-      chunk_base = chunk_index * adaptive.interval_iters;
-    }
-    TraceRecord rebased = r;
-    rebased.outer_iter = r.outer_iter - chunk_base;
-    chunks.back().mutable_records().push_back(rebased);
-  }
-
-  AdaptiveRunResult result;
-  FeedbackDistanceController controller(adaptive);
-  result.initial_distance = controller.distance();
-  for (const TraceBuffer& chunk : chunks) {
-    SpExperimentConfig cfg = base;
-    cfg.params =
-        SpParams::from_distance_rp(controller.distance(), adaptive.rp);
-    const SpRunSummary run = run_sp_once(chunk, cfg);
-    result.distance_trajectory.push_back(controller.distance());
-    ++result.intervals;
-
-    result.aggregate.runtime += run.runtime;
-    result.aggregate.l2_lookups += run.l2_lookups;
-    result.aggregate.totally_hits += run.totally_hits;
-    result.aggregate.partially_hits += run.partially_hits;
-    result.aggregate.totally_misses += run.totally_misses;
-    result.aggregate.memory_requests += run.memory_requests;
-    result.aggregate.pollution.case1_reuse_displaced +=
-        run.pollution.case1_reuse_displaced;
-    result.aggregate.pollution.case2_helper_displaced +=
-        run.pollution.case2_helper_displaced;
-    result.aggregate.pollution.case3_hw_displaced +=
-        run.pollution.case3_hw_displaced;
-    result.aggregate.pollution.prefetch_caused_evictions +=
-        run.pollution.prefetch_caused_evictions;
-    result.aggregate.pollution.total_evictions += run.pollution.total_evictions;
-
-    controller.observe(IntervalFeedback{
-        .l2_lookups = run.l2_lookups,
-        .partially_hits = run.partially_hits,
-        .totally_misses = run.totally_misses,
-        .pollution_events = run.pollution.total_pollution(),
-    });
-  }
-  result.increases = controller.increases();
-  result.decreases = controller.decreases();
-  return result;
+void expect_same_summary(const SpRunSummary& got, const SpRunSummary& want) {
+  EXPECT_EQ(got.runtime, want.runtime);
+  EXPECT_EQ(got.l2_lookups, want.l2_lookups);
+  EXPECT_EQ(got.totally_hits, want.totally_hits);
+  EXPECT_EQ(got.partially_hits, want.partially_hits);
+  EXPECT_EQ(got.totally_misses, want.totally_misses);
+  EXPECT_EQ(got.memory_requests, want.memory_requests);
+  EXPECT_EQ(got.helper_finish, want.helper_finish);
+  EXPECT_EQ(got.pollution.case1_reuse_displaced,
+            want.pollution.case1_reuse_displaced);
+  EXPECT_EQ(got.pollution.case2_helper_displaced,
+            want.pollution.case2_helper_displaced);
+  EXPECT_EQ(got.pollution.case3_hw_displaced,
+            want.pollution.case3_hw_displaced);
+  EXPECT_EQ(got.pollution.prefetch_caused_evictions,
+            want.pollution.prefetch_caused_evictions);
+  EXPECT_EQ(got.pollution.total_evictions, want.pollution.total_evictions);
+  const ProvenanceSummary& a = got.provenance;
+  const ProvenanceSummary& b = want.provenance;
+  EXPECT_EQ(a.enabled, b.enabled);
+  EXPECT_EQ(a.tracked_fills, b.tracked_fills);
+  EXPECT_EQ(a.helper_fills, b.helper_fills);
+  EXPECT_EQ(a.hardware_fills, b.hardware_fills);
+  EXPECT_EQ(a.used_timely, b.used_timely);
+  EXPECT_EQ(a.used_late, b.used_late);
+  EXPECT_EQ(a.evicted_unused, b.evicted_unused);
+  EXPECT_EQ(a.polluting, b.polluting);
+  EXPECT_EQ(a.resident_unused, b.resident_unused);
+  EXPECT_EQ(a.reuse_confirms, b.reuse_confirms);
+  EXPECT_EQ(a.late_pollution_confirms, b.late_pollution_confirms);
+  EXPECT_EQ(a.fill_to_use_total, b.fill_to_use_total);
+  EXPECT_EQ(a.polluted_sets, b.polluted_sets);
+  EXPECT_EQ(a.fill_to_use, b.fill_to_use);
+  EXPECT_EQ(a.victim_reuse, b.victim_reuse);
+  EXPECT_EQ(a.set_heatmap, b.set_heatmap);
 }
 
 void expect_identical(const AdaptiveRunResult& got,
@@ -200,24 +187,265 @@ void expect_identical(const AdaptiveRunResult& got,
   EXPECT_EQ(got.initial_distance, want.initial_distance);
   EXPECT_EQ(got.increases, want.increases);
   EXPECT_EQ(got.decreases, want.decreases);
-  EXPECT_EQ(got.aggregate.runtime, want.aggregate.runtime);
-  EXPECT_EQ(got.aggregate.l2_lookups, want.aggregate.l2_lookups);
-  EXPECT_EQ(got.aggregate.totally_hits, want.aggregate.totally_hits);
-  EXPECT_EQ(got.aggregate.partially_hits, want.aggregate.partially_hits);
-  EXPECT_EQ(got.aggregate.totally_misses, want.aggregate.totally_misses);
-  EXPECT_EQ(got.aggregate.memory_requests, want.aggregate.memory_requests);
-  EXPECT_EQ(got.aggregate.helper_finish, want.aggregate.helper_finish);
-  EXPECT_EQ(got.aggregate.pollution.case1_reuse_displaced,
-            want.aggregate.pollution.case1_reuse_displaced);
-  EXPECT_EQ(got.aggregate.pollution.case2_helper_displaced,
-            want.aggregate.pollution.case2_helper_displaced);
-  EXPECT_EQ(got.aggregate.pollution.case3_hw_displaced,
-            want.aggregate.pollution.case3_hw_displaced);
-  EXPECT_EQ(got.aggregate.pollution.prefetch_caused_evictions,
-            want.aggregate.pollution.prefetch_caused_evictions);
-  EXPECT_EQ(got.aggregate.pollution.total_evictions,
-            want.aggregate.pollution.total_evictions);
+  expect_same_summary(got.aggregate, want.aggregate);
 }
+
+constexpr std::uint32_t kFrozenInterval = 100;
+
+/// The pinned golden grid's workload sizes (tests/pinned_golden_spec.hpp) on
+/// its 64 KiB L2, plus em3d-late: a reduced-arity prelude pass before the
+/// full-arity one.
+std::vector<orchestrate::WorkloadSpec> frozen_workloads() {
+  Em3dConfig em3d;
+  em3d.nodes = 2000;
+  em3d.arity = 8;
+  em3d.passes = 1;
+  Em3dConfig late = em3d;
+  late.passes = 2;
+  late.prelude_arity = 2;
+  McfConfig mcf;
+  mcf.nodes = 1000;
+  mcf.arcs = 6000;
+  mcf.passes = 2;
+  MstConfig mst;
+  mst.vertices = 400;
+  mst.degree = 8;
+  mst.buckets = 32;
+  return {orchestrate::em3d_spec(em3d),
+          orchestrate::em3d_spec(late, "em3d-late"),
+          orchestrate::mcf_spec(mcf), orchestrate::mst_spec(mst)};
+}
+
+class FrozenControllerTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FrozenControllerTest, EqualsStaticCellAtEveryLadderDistance) {
+  const orchestrate::WorkloadSpec workload = frozen_workloads()[GetParam()];
+  SCOPED_TRACE(workload.name);
+  // The static cells of the auto ladder, provenance on: each one is
+  // ExperimentContext::run_sp_once at the cell's distance.
+  orchestrate::SweepSpec spec;
+  spec.workloads = {workload};
+  spec.geometries = {CacheGeometry(64 << 10, 8, 64)};
+  spec.provenance = true;
+  orchestrate::SweepOptions opts;
+  opts.threads = 1;
+  const orchestrate::SweepResult ladder = orchestrate::run_sweep(spec, opts);
+  ASSERT_EQ(ladder.failed_count(), 0u);
+  ASSERT_GE(ladder.cells.size(), 5u);
+
+  const std::shared_ptr<const TraceSource> src = workload.make();
+  SpExperimentConfig base;
+  base.sim.l2 = spec.geometries.front();
+  base.sim.provenance = true;
+  ExperimentContext ctx;
+  const auto frozen_run = [&](std::uint32_t d) {
+    AdaptiveConfig frozen;
+    frozen.min_distance = d;
+    frozen.max_distance = d;
+    frozen.initial_distance = d;
+    frozen.interval_iters = kFrozenInterval;
+    return ctx.run_adaptive(src->trace, base, frozen);
+  };
+  for (const orchestrate::CellResult& cell : ladder.cells) {
+    const std::uint32_t d = cell.cell.distance;
+    SCOPED_TRACE("d=" + std::to_string(d));
+    const AdaptiveRunResult run = frozen_run(d);
+    ASSERT_GE(run.intervals, 10u);
+    expect_same_summary(run.aggregate, cell.cmp->sp);
+  }
+
+  // A distance longer than several intervals: the helper's first skip phase
+  // spans interval boundaries, so pauses fall inside it.
+  const std::uint32_t far = 3 * kFrozenInterval + 7;
+  SpExperimentConfig cfg = base;
+  cfg.params = SpParams::from_distance_rp(far, 0.5);
+  const SpRunSummary static_far = ctx.run_sp_once(src->trace, cfg);
+  SCOPED_TRACE("d=" + std::to_string(far));
+  expect_same_summary(frozen_run(far).aggregate, static_far);
+}
+
+INSTANTIATE_TEST_SUITE_P(Workloads, FrozenControllerTest,
+                         ::testing::Range<std::size_t>(0, 4));
+
+// ---- real retunes: batched == oracle, any window --------------------------
+
+/// Small shared L2 so short traces still generate misses, evictions and
+/// MSHR pressure (mirrors replay_differential_test).
+SimConfig small_machine() {
+  SimConfig config;
+  config.l1 = CacheGeometry(4 * 1024, 4, 64);
+  config.l2 = CacheGeometry(64 * 1024, 8, 64);
+  config.l2_mshrs = 8;
+  config.provenance = true;
+  return config;
+}
+
+/// Controllers that move on almost every interval. The falling walk starts
+/// at max / 4 and halves on any pollution; the rising one starts at 1,
+/// ignores pollution and adds 3 on any late fill. Between them the helper's
+/// round both shrinks and grows mid-run.
+AdaptiveConfig walking(std::uint32_t interval_iters, std::uint32_t max,
+                       bool rising) {
+  AdaptiveConfig acfg;
+  acfg.min_distance = 1;
+  acfg.max_distance = max;
+  acfg.initial_distance = rising ? 1 : max / 4;
+  acfg.increase_step = 3;
+  acfg.pollution_high_per_mille = rising ? 1e9 : 0.0;
+  acfg.pollution_low_per_mille = rising ? 1e9 : 0.0;
+  acfg.late_share = 0.0;
+  acfg.interval_iters = interval_iters;
+  return acfg;
+}
+
+struct ContinuousRun {
+  AdaptiveRunResult adaptive;
+  SimResult sim;
+};
+
+/// The continuous adaptive run restated as a plain control loop over the
+/// simulator's pause seam: `step` is CmpSimulator::run_until (batched) or
+/// ReplayOracle::run_until (record at a time). Mirrors run_adaptive without
+/// phase caps: pause where the main core reaches the next interval_iters
+/// boundary, feed the controller the interval's counter deltas, retune the
+/// helper feed.
+template <std::size_t WindowN, typename Step>
+ContinuousRun run_continuous(const TraceBuffer& trace, const SimConfig& config,
+                             const AdaptiveConfig& adaptive, Step step) {
+  ContinuousRun out;
+  FeedbackDistanceController controller(adaptive);
+  out.adaptive.initial_distance = controller.distance();
+  const SpParams start =
+      SpParams::from_distance_rp(controller.distance(), adaptive.rp);
+  CursorWindowSource<HelperViewCursor, WindowN> feed(
+      HelperViewCursor::round_labelled(trace, start));
+  CmpSimulator sim(config);
+  sim.start(config,
+            {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand},
+             CoreStream{.source = &feed, .origin = FillOrigin::kHelper,
+                        .sync = RoundSync{.leader = 0, .round_iters = 1}}});
+  const std::uint32_t interval = adaptive.interval_iters;
+  std::uint32_t first = trace[0].outer_iter / interval * interval;
+  SpRunSummary before;
+  for (;;) {
+    out.adaptive.distance_trajectory.push_back(controller.distance());
+    ++out.adaptive.intervals;
+    const std::optional<std::uint32_t> next =
+        step(sim, std::uint64_t{first} + interval);
+    if (!next) out.sim = sim.finish();
+    const SpRunSummary now =
+        SpRunSummary::from(next ? sim.progress() : out.sim);
+    controller.observe(IntervalFeedback{
+        .l2_lookups = now.l2_lookups - before.l2_lookups,
+        .partially_hits = now.partially_hits - before.partially_hits,
+        .totally_misses = now.totally_misses - before.totally_misses,
+        .pollution_events = now.pollution.total_pollution() -
+                            before.pollution.total_pollution()});
+    if (!next) break;
+    before = now;
+    first = *next / interval * interval;
+    feed.cursor().retune(
+        SpParams::from_distance_rp(controller.distance(), adaptive.rp));
+  }
+  out.adaptive.aggregate = SpRunSummary::from(out.sim);
+  out.adaptive.increases = controller.increases();
+  out.adaptive.decreases = controller.decreases();
+  return out;
+}
+
+std::optional<std::uint32_t> batched_step(CmpSimulator& sim,
+                                          std::uint64_t pause) {
+  return sim.run_until(pause);
+}
+
+std::optional<std::uint32_t> oracle_step(CmpSimulator& sim,
+                                         std::uint64_t pause) {
+  return test::ReplayOracle::run_until(sim, pause);
+}
+
+/// Pins one adaptive configuration: run_adaptive == the batched control
+/// loop == the oracle loop, at helper windows of 1, 7 and 4096 records, with
+/// zero trace-record allocations on the production path. Returns the
+/// number of distance changes the walk made.
+std::uint64_t pin_continuous_run(const TraceBuffer& trace,
+                                 const SimConfig& config,
+                                 const AdaptiveConfig& adaptive) {
+  const ContinuousRun oracle =
+      run_continuous<4096>(trace, config, adaptive, oracle_step);
+  {
+    SCOPED_TRACE("batched, window 4096");
+    const ContinuousRun batched =
+        run_continuous<4096>(trace, config, adaptive, batched_step);
+    test::expect_same_result(batched.sim, oracle.sim);
+    expect_identical(batched.adaptive, oracle.adaptive);
+  }
+  {
+    SCOPED_TRACE("batched, window 7");
+    const ContinuousRun batched =
+        run_continuous<7>(trace, config, adaptive, batched_step);
+    test::expect_same_result(batched.sim, oracle.sim);
+    expect_identical(batched.adaptive, oracle.adaptive);
+  }
+  {
+    SCOPED_TRACE("batched, window 1");
+    const ContinuousRun batched =
+        run_continuous<1>(trace, config, adaptive, batched_step);
+    test::expect_same_result(batched.sim, oracle.sim);
+    expect_identical(batched.adaptive, oracle.adaptive);
+  }
+  {
+    SCOPED_TRACE("ExperimentContext::run_adaptive");
+    SpExperimentConfig base;
+    base.sim = config;
+    ExperimentContext ctx;
+    (void)ctx.run_adaptive(trace, base, adaptive);  // size the context
+    const std::uint64_t allocs_before = trace_hooks::record_allocations();
+    const AdaptiveRunResult production =
+        ctx.run_adaptive(trace, base, adaptive);
+    EXPECT_EQ(trace_hooks::record_allocations() - allocs_before, 0u)
+        << "the continuous run must not grow trace-record storage";
+    expect_identical(production, oracle.adaptive);
+  }
+  std::uint64_t moves = 0;
+  const std::vector<std::uint32_t>& walk = oracle.adaptive.distance_trajectory;
+  for (std::size_t i = 1; i < walk.size(); ++i) moves += walk[i] != walk[i - 1];
+  return moves;
+}
+
+class AdaptiveOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AdaptiveOracleTest, RandomTraceRetunesMatchOracle) {
+  ir::VirtualMemory vm;
+  const ir::InterpResult interp =
+      ir::interpret(ir::random_program(GetParam(), vm), vm);
+  if (interp.trace.size() == 0) GTEST_SKIP() << "degenerate program";
+  // Few random programs pollute, so mostly the rising walk moves here; the
+  // em3d case below exercises both directions.
+  for (const bool rising : {false, true}) {
+    SCOPED_TRACE(rising ? "rising walk" : "falling walk");
+    (void)pin_continuous_run(interp.trace, small_machine(),
+                             walking(2, 32, rising));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveOracleTest,
+                         ::testing::Range<std::uint64_t>(1, 17));
+
+TEST(AdaptiveOracleEm3dTest, RetunesMatchOracle) {
+  Em3dConfig wl;
+  wl.nodes = 3000;
+  wl.arity = 16;
+  wl.passes = 1;
+  const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
+  for (const bool rising : {false, true}) {
+    SCOPED_TRACE(rising ? "rising walk" : "falling walk");
+    const std::uint64_t moves =
+        pin_continuous_run(trace, small_machine(), walking(150, 64, rising));
+    EXPECT_GE(moves, 3u) << "the walk must actually retune the helper";
+  }
+}
+
+// ---- continuous-run contracts ----------------------------------------------
 
 TraceBuffer polluting_trace() {
   SyntheticConfig wcfg;
@@ -227,39 +455,7 @@ TraceBuffer polluting_trace() {
   return SyntheticWorkload(wcfg).emit_trace();
 }
 
-TEST(AdaptiveColdDifferential, StreamingMatchesMaterializingReference) {
-  const TraceBuffer trace = polluting_trace();
-  SpExperimentConfig base;
-  base.sim.l2 = CacheGeometry(256 * 1024, 16, 64);
-
-  // Several controller regimes: walking down from a polluting start, pinned
-  // static (min == max), and a mid-range start with room both ways.
-  std::vector<AdaptiveConfig> configs(3);
-  configs[0].min_distance = 2;
-  configs[0].max_distance = 1024;
-  configs[0].initial_distance = 1024;
-  configs[0].increase_step = 8;
-  configs[1].min_distance = 16;
-  configs[1].max_distance = 16;
-  configs[1].initial_distance = 16;
-  configs[2] = AdaptiveConfig{};  // defaults: 8 inside [1, 64]
-  for (AdaptiveConfig& acfg : configs) {
-    acfg.interval_iters = 1500;
-
-    ExperimentContext ctx;
-    const std::uint64_t allocs_before = trace_hooks::record_allocations();
-    const AdaptiveRunResult streaming = ctx.run_adaptive(trace, base, acfg);
-    // The streaming path's contract: segments replay through cursor windows
-    // over the shared trace, so no trace-record storage ever grows.
-    EXPECT_EQ(trace_hooks::record_allocations() - allocs_before, 0u);
-
-    const AdaptiveRunResult reference = legacy_reference(trace, base, acfg);
-    expect_identical(streaming, reference);
-    ASSERT_GE(streaming.intervals, 2u);
-  }
-}
-
-TEST(AdaptiveColdDifferential, WrapperMatchesContextMember) {
+TEST(AdaptiveContinuousRun, WrapperMatchesContextMember) {
   const TraceBuffer trace = polluting_trace();
   SpExperimentConfig base;
   base.sim.l2 = CacheGeometry(256 * 1024, 16, 64);
@@ -269,50 +465,6 @@ TEST(AdaptiveColdDifferential, WrapperMatchesContextMember) {
   ExperimentContext ctx;
   expect_identical(run_adaptive_experiment(trace, base, acfg),
                    ctx.run_adaptive(trace, base, acfg));
-}
-
-// ---- warm intervals -------------------------------------------------------
-
-TEST(AdaptiveWarmIntervals, SharesStructureWithColdRun) {
-  const TraceBuffer trace = polluting_trace();
-  SpExperimentConfig base;
-  base.sim.l2 = CacheGeometry(256 * 1024, 16, 64);
-  AdaptiveConfig acfg;
-  acfg.min_distance = 2;
-  acfg.max_distance = 512;
-  acfg.initial_distance = 512;
-  acfg.interval_iters = 1500;
-
-  ExperimentContext ctx;
-  const AdaptiveRunResult cold = ctx.run_adaptive(trace, base, acfg);
-
-  AdaptiveConfig warm_cfg = acfg;
-  warm_cfg.warm_intervals = true;
-  const std::uint64_t allocs_before = trace_hooks::record_allocations();
-  const AdaptiveRunResult warm = ctx.run_adaptive(trace, base, warm_cfg);
-  EXPECT_EQ(trace_hooks::record_allocations() - allocs_before, 0u);
-
-  // Same segmentation, same clamped start; the feedback differs (no cold
-  // restart transient), so the walks may diverge after the first interval.
-  EXPECT_EQ(warm.intervals, cold.intervals);
-  EXPECT_EQ(warm.distance_trajectory.size(), cold.distance_trajectory.size());
-  EXPECT_EQ(warm.initial_distance, cold.initial_distance);
-  ASSERT_FALSE(warm.distance_trajectory.empty());
-  EXPECT_EQ(warm.distance_trajectory.front(), cold.distance_trajectory.front());
-  for (const std::uint32_t d : warm.distance_trajectory) {
-    EXPECT_GE(d, warm_cfg.min_distance);
-    EXPECT_LE(d, warm_cfg.max_distance);
-  }
-  // Cumulative totals of a real run.
-  EXPECT_GT(warm.aggregate.runtime, 0u);
-  EXPECT_GT(warm.aggregate.l2_lookups, 0u);
-  // The warm aggregate is one continuous run's summary: its runtime is the
-  // final clock, not a sum of per-interval restart clocks, so it cannot
-  // exceed the cold sum (each cold interval restarts from cycle 0).
-  EXPECT_LE(warm.aggregate.runtime, cold.aggregate.runtime);
-  // A context stays reusable after a warm run: the next cold run matches a
-  // fresh context bit-for-bit.
-  expect_identical(ctx.run_adaptive(trace, base, acfg), cold);
 }
 
 // ---- API contract ---------------------------------------------------------

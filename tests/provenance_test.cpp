@@ -146,7 +146,7 @@ TEST(ProvenanceTrackerTest, StillResidentUnusedAtSnapshotTime) {
   expect_partition(s);
   EXPECT_EQ(s.resident_unused, 1u);
   // snapshot() is const and provisional: the fill can still earn a better
-  // fate afterwards (warm adaptive intervals re-snapshot mid-run).
+  // fate afterwards (a paused adaptive run snapshots mid-replay).
   t.on_demand_lookup();
   t.on_demand_hit(13);
   const ProvenanceSummary later = snap(t);

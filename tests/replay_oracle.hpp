@@ -13,6 +13,8 @@
 //   * ReplayOracle::run — the record-at-a-time scheduler: one full round
 //     (pick + gate checks) per record, sharing CmpSimulator's per-record
 //     access code but none of the batched loop's limits or leader mask;
+//     ReplayOracle::run_until is the same scheduler stopping at a pause
+//     point, the counterpart of CmpSimulator::run_until;
 //   * run_sp_once — an SP cell on the materialized helper through the
 //     record-at-a-time scheduler, summarized like ExperimentContext does.
 #pragma once
@@ -92,7 +94,23 @@ struct ReplayOracle {
                        const std::vector<CoreStream>& streams) {
     CmpSimulator sim(config);
     sim.reset(streams);
+    (void)run_until(sim, CmpSimulator::kNoPause);
+    return sim.finish();
+  }
+
+  /// Continues a run begun with CmpSimulator::start one record per round
+  /// until, at the top of a round, core 0's pending record has reached outer
+  /// iteration `pause_iter` (returns that record's outer_iter) or every
+  /// stream is exhausted (returns nullopt). Close the run with
+  /// CmpSimulator::finish.
+  static std::optional<std::uint32_t> run_until(CmpSimulator& sim,
+                                                std::uint64_t pause_iter) {
     for (;;) {
+      const CmpSimulator::CoreState& main = sim.cores_[0];
+      if (!CmpSimulator::feed_done(main) &&
+          CmpSimulator::feed_pending(main).outer_iter >= pause_iter) {
+        return CmpSimulator::feed_pending(main).outer_iter;
+      }
       CoreId pick = std::numeric_limits<CoreId>::max();
       Cycle best = std::numeric_limits<Cycle>::max();
       bool any_remaining = false;
@@ -115,13 +133,12 @@ struct ReplayOracle {
           pick = i;
         }
       }
-      if (!any_remaining) break;
+      if (!any_remaining) return std::nullopt;
       SPF_ASSERT(pick != std::numeric_limits<CoreId>::max(),
                  "all remaining cores gated: sync cycle");
       sim.step_batch(pick, /*limit_lo=*/0, /*limit_hi=*/0,
                      /*leader_sensitive=*/false);
     }
-    return sim.collect();
   }
 };
 

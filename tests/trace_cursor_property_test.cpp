@@ -17,6 +17,9 @@
 //   * re-anchored HelperViewCursor == the oracle helper after the
 //     refinement's outer_iter -= A_SKI mutation pass;
 //   * make_helper_trace (the drain of HelperViewCursor) == the oracle;
+//   * the round-labelled HelperViewCursor == the iteration-labelled stream
+//     relabelled with each record's round start, one round per fill();
+//     retune() keeps the last served round and switches parameters after it;
 //   * reset() replays the identical stream.
 #include <gtest/gtest.h>
 
@@ -211,6 +214,101 @@ TEST_P(HelperViewPropertyTest, ReanchoredCursorEqualsMutatedHelper) {
     HelperViewCursor cursor(main_trace, params, {}, /*re_anchor=*/true);
     EXPECT_EQ(drain(cursor), to_vector(helper));
   }
+}
+
+/// The round-labelled helper stream retuned from `p1` to `p2` at iteration
+/// `switch_at`: rounds of p1 on the grid from 0 before it, rounds of p2 from
+/// `switch_at` on, every kept record labelled with its round's first
+/// iteration.
+std::vector<TraceRecord> retuned_reference(const TraceBuffer& main_trace,
+                                           const SpParams& p1,
+                                           std::uint64_t switch_at,
+                                           const SpParams& p2) {
+  std::vector<TraceRecord> out;
+  for (const TraceRecord& r : main_trace) {
+    if (r.kind() == AccessKind::kWrite) continue;
+    const bool late = r.outer_iter >= switch_at;
+    const SpParams& p = late ? p2 : p1;
+    const std::uint64_t base = late ? switch_at : 0;
+    const std::uint64_t begin =
+        base + (r.outer_iter - base) / p.round() * p.round();
+    if (r.outer_iter - begin < p.a_ski && !r.is_spine()) continue;
+    out.push_back(TraceRecord::make(r.addr, static_cast<std::uint32_t>(begin),
+                                    AccessKind::kRead, r.site, r.flags(), 0));
+  }
+  return out;
+}
+
+TEST_P(HelperViewPropertyTest, RoundLabelledViewServesOneRoundPerFill) {
+  Xoshiro256 rng(GetParam() ^ 0x2545f4914f6cdd1dull);
+  const TraceBuffer main_trace = random_trace(GetParam() + 3000, 300);
+  for (int round = 0; round < 8; ++round) {
+    const SpParams params = random_params(rng);
+    SCOPED_TRACE(params.to_string());
+    HelperViewCursor iteration_view(main_trace, params);
+    std::vector<TraceRecord> expected = drain(iteration_view);
+    for (TraceRecord& r : expected) {
+      r.outer_iter = r.outer_iter / params.round() * params.round();
+    }
+
+    HelperViewCursor view =
+        HelperViewCursor::round_labelled(main_trace, params);
+    EXPECT_EQ(drain(view), expected);
+    view.reset();
+    std::vector<TraceRecord> filled;
+    std::vector<TraceRecord> buf(1 + rng.below(64));
+    while (const std::size_t n = view.fill(buf.data(), buf.size())) {
+      for (std::size_t i = 1; i < n; ++i) {
+        EXPECT_EQ(buf[i].outer_iter, buf[0].outer_iter)
+            << "fill crossed a round";
+      }
+      if (n < buf.size() && !view.done()) {
+        EXPECT_NE(view.current().outer_iter, buf[0].outer_iter)
+            << "fill stopped short inside a round";
+      }
+      filled.insert(filled.end(), buf.begin(), buf.begin() + n);
+    }
+    EXPECT_EQ(filled, expected);
+  }
+}
+
+TEST_P(HelperViewPropertyTest, RetuneSwitchesAfterTheLastServedRound) {
+  Xoshiro256 rng(GetParam() ^ 0x94d049bb133111ebull);
+  const TraceBuffer main_trace = random_trace(GetParam() + 4000, 300);
+  for (int round = 0; round < 8; ++round) {
+    const SpParams p1 = random_params(rng);
+    const SpParams p2 = random_params(rng);
+    const bool bulk = rng.below(2) == 1;
+    const std::size_t prefix = rng.below(40);
+    SCOPED_TRACE(p1.to_string() + " -> " + p2.to_string() +
+                 (bulk ? " via fill" : " via advance"));
+
+    // Serve a prefix, then retune: the last served record's round keeps p1.
+    HelperViewCursor view = HelperViewCursor::round_labelled(main_trace, p1);
+    std::vector<TraceRecord> got;
+    std::vector<TraceRecord> buf(1 + rng.below(8));
+    while (got.size() < prefix && !view.done()) {
+      if (bulk) {
+        const std::size_t n = view.fill(buf.data(), buf.size());
+        got.insert(got.end(), buf.begin(), buf.begin() + n);
+      } else {
+        got.push_back(view.current());
+        view.advance();
+      }
+    }
+    const std::uint64_t switch_at =
+        (got.empty() ? 0 : std::uint64_t{got.back().outer_iter}) + p1.round();
+    view.retune(p2);
+    const std::vector<TraceRecord> rest = drain(view);
+    got.insert(got.end(), rest.begin(), rest.end());
+    EXPECT_EQ(got, retuned_reference(main_trace, p1, switch_at, p2));
+  }
+}
+
+TEST(HelperViewDeathTest, OnlyTheRoundLabelledViewRetunes) {
+  const TraceBuffer t = random_trace(1, 10);
+  HelperViewCursor view(t, SpParams{.a_ski = 1, .a_pre = 1});
+  EXPECT_DEATH(view.retune(SpParams{.a_ski = 2, .a_pre = 1}), "round-labelled");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergePropertyTest,
