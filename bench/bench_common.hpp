@@ -113,21 +113,9 @@ inline std::uint64_t require_uint(const CliFlags& flags, const std::string& name
   return v;
 }
 
-/// Strict accessor: `--name=<number>` or the default; usage error otherwise.
-inline double require_double(const CliFlags& flags, const std::string& name,
-                             double def) {
-  const std::string raw = flags.get(name, "");
-  if (raw.empty() && !flags.has(name)) return def;
-  double v = 0.0;
-  if (!parse_double(raw, v)) {
-    usage_error("bad --" + name + " value '" + raw + "' (want number)");
-  }
-  return v;
-}
-
 /// Strict accessor: bare `--name`, `--name=<bool>`, or the default.
 /// CliFlags::get_bool maps any unrecognized value to false; here a typo
-/// ("--phase-bounds=ture") is a usage error instead of a silent default.
+/// ("--provenance=ture") is a usage error instead of a silent default.
 inline bool require_bool(const CliFlags& flags, const std::string& name,
                          bool def) {
   if (!flags.has(name)) return def;
@@ -204,9 +192,9 @@ inline Em3dConfig em3d_config(const Scale& s) {
 
 /// Late-tight-phase em3d (Em3dConfig::prelude_arity): quiet reduced-arity
 /// prelude passes, then the full-arity pressured pass LAST — the phase
-/// ordering where per-phase Set-Affinity capping can beat the whole-run cap
-/// (the whole-run bound throttles the quiet prelude too; see
-/// docs/method.md "Per-phase Set Affinity").
+/// ordering where the whole-run bound throttles the quiet prelude too
+/// (`spf_sweep --workloads=em3d-late`; docs/adaptive.md records why
+/// per-phase capping still did not beat the whole-run cap there).
 inline Em3dConfig em3d_late_config(const Scale& s) {
   Em3dConfig c = em3d_config(s);
   c.passes = 2;

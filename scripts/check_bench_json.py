@@ -5,29 +5,19 @@ Usage: check_bench_json.py BENCH_perf.json [BENCH_perf.json ...]
        check_bench_json.py --sweep sweep.jsonl [sweep.jsonl ...]
        check_bench_json.py --provenance prov.jsonl [prov.jsonl ...]
 
-With --sweep, each file is a JSONL artifact from spf_sweep / fig_adaptive /
-fig_phase_bound (one cell per line) and the per-line contracts are:
+With --sweep, each file is a JSONL artifact from spf_sweep (one cell per
+line) and the per-line contracts are:
   * `phase_count` is an integer >= 1 on every successful cell — the phase
     partition always contains at least the whole run (docs/method.md);
   * adaptive cells record one trajectory entry per interval
     (`intervals == len(trajectory)`) and end at or under their cap
     (`final_distance <= distance_cap`);
-  * phase-capped cells carry a `phase_bounds` schedule (strictly increasing
-    `begin`, every `upper >= 1`) and a `reclamps` event list: strictly
-    increasing intervals starting at 0, `reclamp_count == len(reclamps)`,
-    each event's `distance <= cap`, each event's `cap` matching its phase's
-    scheduled bound clamped to the cell's `distance_cap` — the controller
-    never raises its ceiling past `max_distance`, so a scheduled bound above
-    it re-clamps to the cap itself (phase -1 = before the first scheduled
-    cap) — and — the re-clamp
-    invariant — every trajectory entry between one event and the next at or
-    under the earlier event's cap;
   * failed cells carry an `error` and are otherwise exempt.
 
-With --provenance, each file is a JSONL artifact from fig_provenance (or any
-sweep run with SweepSpec::provenance set) and, on top of the --sweep
-contracts, every successful cell must satisfy the lifecycle accounting
-(docs/provenance.md):
+With --provenance, each file is a JSONL artifact from `spf_sweep
+--provenance` (or any sweep run with SweepSpec::provenance set) and, on top
+of the --sweep contracts, every successful cell must satisfy the lifecycle
+accounting (docs/provenance.md):
   * the five fate counters partition the tracked fills exactly:
     used_timely + used_late + evicted_unused + polluting + resident_unused
     == prov_tracked_fills, and helper + hardware fills == tracked fills;
@@ -279,90 +269,6 @@ def _sweep_fail(path, lineno, message):
     return False
 
 
-def _check_sweep_reclamps(path, lineno, doc):
-    """Phase-capped contracts: schedule shape, event list, re-clamp invariant."""
-    ok = True
-    bounds = doc["phase_bounds"]
-    if not isinstance(bounds, list) or not bounds:
-        return _sweep_fail(path, lineno, "phase_bounds must be a non-empty list")
-    prev_begin = -1
-    for b in bounds:
-        if not isinstance(b, dict) or not isinstance(b.get("begin"), int) \
-                or not isinstance(b.get("upper"), int):
-            return _sweep_fail(path, lineno, f"malformed phase bound {b!r}")
-        if b["upper"] < 1:
-            ok = _sweep_fail(path, lineno, f"phase bound upper < 1: {b}")
-        if b["begin"] <= prev_begin:
-            ok = _sweep_fail(
-                path, lineno,
-                f"phase_bounds begin not strictly increasing at {b}")
-        prev_begin = b["begin"]
-
-    events = doc["reclamps"]
-    if not isinstance(events, list) or not events:
-        return _sweep_fail(path, lineno, "reclamps must be a non-empty list")
-    if doc.get("reclamp_count") != len(events):
-        ok = _sweep_fail(
-            path, lineno,
-            f"reclamp_count = {doc.get('reclamp_count')} != "
-            f"len(reclamps) = {len(events)}")
-    trajectory = doc["trajectory"]
-    prev_interval = -1
-    for i, e in enumerate(events):
-        if not isinstance(e, dict) or not all(
-                isinstance(e.get(k), int)
-                for k in ("interval", "phase", "cap", "distance")):
-            return _sweep_fail(path, lineno, f"malformed reclamp event {e!r}")
-        if i == 0 and e["interval"] != 0:
-            ok = _sweep_fail(
-                path, lineno,
-                f"first reclamp event at interval {e['interval']}, not 0 — "
-                "the controller must resolve a cap on its first interval")
-        if e["interval"] <= prev_interval:
-            ok = _sweep_fail(
-                path, lineno,
-                f"reclamp intervals not strictly increasing at {e}")
-        prev_interval = e["interval"]
-        if e["distance"] > e["cap"]:
-            ok = _sweep_fail(
-                path, lineno,
-                f"re-clamped distance {e['distance']} exceeds its phase "
-                f"cap {e['cap']} at interval {e['interval']}")
-        if e["phase"] >= 0:
-            if e["phase"] >= len(bounds):
-                ok = _sweep_fail(
-                    path, lineno,
-                    f"reclamp phase {e['phase']} out of range "
-                    f"(schedule has {len(bounds)} phases)")
-            else:
-                # The controller clamps every scheduled bound into its own
-                # [min_distance, max_distance] range, so the recorded cap is
-                # the *effective* ceiling: min(scheduled, distance_cap)
-                # (floored at 1, the drivers' min_distance).
-                expected = max(
-                    1, min(bounds[e["phase"]]["upper"], doc["distance_cap"]))
-                if e["cap"] != expected:
-                    ok = _sweep_fail(
-                        path, lineno,
-                        f"reclamp cap {e['cap']} != effective bound "
-                        f"{expected} for phase {e['phase']} (scheduled "
-                        f"{bounds[e['phase']]['upper']}, distance_cap "
-                        f"{doc['distance_cap']})")
-        # The re-clamp invariant: until the next event, every trajectory
-        # entry stays at or under this event's cap.
-        end = events[i + 1]["interval"] if i + 1 < len(events) \
-            else len(trajectory)
-        for j in range(e["interval"], min(end, len(trajectory))):
-            if trajectory[j] > e["cap"]:
-                ok = _sweep_fail(
-                    path, lineno,
-                    f"trajectory[{j}] = {trajectory[j]} exceeds active "
-                    f"phase cap {e['cap']} (event at interval "
-                    f"{e['interval']})")
-                break
-    return ok
-
-
 def check_sweep_line(path, lineno, doc):
     ok = True
     for key in ("workload", "controller", "ok"):
@@ -393,13 +299,6 @@ def check_sweep_line(path, lineno, doc):
                 path, lineno,
                 f"final_distance = {doc.get('final_distance')} exceeds "
                 f"distance_cap = {doc.get('distance_cap')}")
-        if "phase_bounds" in doc or "reclamps" in doc:
-            if "phase_bounds" not in doc or "reclamps" not in doc:
-                ok = _sweep_fail(
-                    path, lineno,
-                    "phase_bounds and reclamps must appear together")
-            else:
-                ok = _check_sweep_reclamps(path, lineno, doc) and ok
     return ok
 
 
@@ -557,7 +456,6 @@ def check_sweep_file(path):
     except OSError as e:
         return fail(path, f"not readable: {e}")
     cells = 0
-    phase_capped = 0
     ok = True
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -571,13 +469,11 @@ def check_sweep_file(path):
             ok = _sweep_fail(path, lineno, "line is not a JSON object")
             continue
         cells += 1
-        if "reclamps" in doc:
-            phase_capped += 1
         ok = check_sweep_line(path, lineno, doc) and ok
     if cells == 0:
         ok = fail(path, "no cells — the artifact is empty")
     if ok:
-        print(f"{path}: OK ({cells} cells, {phase_capped} phase-capped)")
+        print(f"{path}: OK ({cells} cells)")
     return ok
 
 

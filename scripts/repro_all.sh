@@ -46,37 +46,6 @@ if [ -f BENCH_perf.json ] && command -v python3 >/dev/null 2>&1; then
   python3 scripts/check_bench_json.py BENCH_perf.json
 fi
 
-# Accumulate this run's perf record — including the telemetry off/on delta
-# perf_smoke measures (telemetry_overhead_pct) — into the git-ignored local
-# history, one compact JSONL line per reproduction run, so hot-path drift is
-# visible across runs on the same machine.
-if [ -f BENCH_perf.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import datetime
-import json
-
-with open("BENCH_perf.json") as f:
-    rec = json.load(f)
-rec["recorded_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat(
-    timespec="seconds")
-with open("BENCH_history.jsonl", "a") as f:
-    f.write(json.dumps(rec, sort_keys=True) + "\n")
-print("appended BENCH_perf.json -> BENCH_history.jsonl")
-EOF
-  # Guard the trendline: flag key throughput metrics that dropped >15% below
-  # the trailing median of prior full-scale runs. A regression (exit 2) is a
-  # loud warning, not a failure — a loaded host can legitimately dent a run;
-  # a structural error (exit 1) in the history still aborts.
-  python3 scripts/check_perf_history.py BENCH_history.jsonl || {
-    status=$?
-    if [ "$status" -eq 2 ]; then
-      echo "WARNING: perf history regression flagged (see above)" >&2
-    else
-      exit "$status"
-    fi
-  }
-fi
-
 # The full cross-product in one orchestrated run: every workload × a ladder
 # of distances around each plane's bound × both RP regimes, JSONL artifact
 # alongside the table — plus the telemetry artifacts: a deterministic metrics
@@ -94,8 +63,7 @@ fi
 
 # Sanity-check the emitted timeline when python3 is around (same validator
 # ctest runs against the perf_smoke artifact), and hold the sweep JSONL to
-# its per-cell contracts (phase_count >= 1, one trajectory entry per
-# interval, re-clamped distances at or under their phase bounds).
+# its per-cell contracts (phase_count >= 1 on every ok cell).
 if [ -f sweep_trace.json ] && command -v python3 >/dev/null 2>&1; then
   python3 scripts/check_trace_json.py sweep_trace.json
 fi
@@ -103,40 +71,26 @@ if [ -f sweep_results.jsonl ] && command -v python3 >/dev/null 2>&1; then
   python3 scripts/check_bench_json.py --sweep sweep_results.jsonl
 fi
 
-# Adaptive-vs-static controller ablation: every workload × the distance
-# ladder × {static, adaptive-AIMD, adaptive-capped}, JSONL artifact with the
-# per-cell distance trajectories, plus a timeline carrying the per-interval
-# adaptive.distance counter track.
+# Adaptive-vs-static controller ablation: every workload (em3d-late too, the
+# late-tight-phase fixture) × the distance ladder × {static, adaptive-AIMD,
+# adaptive-capped}, JSONL artifact with the per-cell distance trajectories,
+# plus a timeline carrying the per-interval adaptive.distance counter track.
 {
   echo "=============================================================="
-  echo "== build/bench/fig_adaptive --threads=$THREADS"
+  echo "== build/bench/spf_sweep --workloads=em3d,em3d-late,mcf,mst" \
+       "--controllers=static,aimd,capped --threads=$THREADS"
   echo "=============================================================="
-  build/bench/fig_adaptive --threads="$THREADS" --jsonl=fig_adaptive.jsonl \
-    --metrics-out=fig_adaptive_metrics.jsonl --trace-out=fig_adaptive_trace.json
+  build/bench/spf_sweep --workloads=em3d,em3d-late,mcf,mst \
+    --controllers=static,aimd,capped --threads="$THREADS" \
+    --jsonl=sweep_adaptive.jsonl --metrics-out=sweep_adaptive_metrics.jsonl \
+    --trace-out=sweep_adaptive_trace.json
 } 2>&1 | tee -a bench_output.txt
 
-if [ -f fig_adaptive_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py fig_adaptive_trace.json
+if [ -f sweep_adaptive_trace.json ] && command -v python3 >/dev/null 2>&1; then
+  python3 scripts/check_trace_json.py sweep_adaptive_trace.json
 fi
-
-# Whole-run vs per-phase capping ablation: adaptive-capped against
-# adaptive-phase-capped on every workload, JSONL carrying the per-cell phase
-# bound schedules and re-clamp events, validated against the same per-cell
-# contracts as the sweep artifact.
-{
-  echo "=============================================================="
-  echo "== build/bench/fig_phase_bound --threads=$THREADS"
-  echo "=============================================================="
-  build/bench/fig_phase_bound --threads="$THREADS" \
-    --jsonl=fig_phase_bound.jsonl --metrics-out=fig_phase_bound_metrics.jsonl \
-    --trace-out=fig_phase_bound_trace.json
-} 2>&1 | tee -a bench_output.txt
-
-if [ -f fig_phase_bound_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py fig_phase_bound_trace.json
-fi
-if [ -f fig_phase_bound.jsonl ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_bench_json.py --sweep fig_phase_bound.jsonl
+if [ -f sweep_adaptive.jsonl ] && command -v python3 >/dev/null 2>&1; then
+  python3 scripts/check_bench_json.py --sweep sweep_adaptive.jsonl
 fi
 
 # Prefetch-lifecycle provenance: the fate-mix and timeliness figure (what
@@ -146,28 +100,32 @@ fi
 # the lifecycle accounting contracts (docs/provenance.md).
 {
   echo "=============================================================="
-  echo "== build/bench/fig_provenance --threads=$THREADS"
+  echo "== build/bench/spf_sweep --workloads=em3d,mcf,mst --provenance" \
+       "--threads=$THREADS"
   echo "=============================================================="
-  build/bench/fig_provenance --threads="$THREADS" \
-    --jsonl=fig_provenance.jsonl --metrics-out=fig_provenance_metrics.jsonl \
-    --trace-out=fig_provenance_trace.json
+  build/bench/spf_sweep --workloads=em3d,mcf,mst --provenance \
+    --threads="$THREADS" --jsonl=sweep_provenance.jsonl \
+    --metrics-out=sweep_provenance_metrics.jsonl \
+    --trace-out=sweep_provenance_trace.json
 } 2>&1 | tee -a bench_output.txt
 
-if [ -f fig_provenance_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py fig_provenance_trace.json
+if [ -f sweep_provenance_trace.json ] && command -v python3 >/dev/null 2>&1; then
+  python3 scripts/check_trace_json.py sweep_provenance_trace.json
 fi
-if [ -f fig_provenance.jsonl ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_bench_json.py --provenance fig_provenance.jsonl
+if [ -f sweep_provenance.jsonl ] && command -v python3 >/dev/null 2>&1; then
+  python3 scripts/check_bench_json.py --provenance sweep_provenance.jsonl
 fi
 
 if [[ "${1:-}" == "--paper" ]]; then
   {
-    for b in table2_benchmarks fig2_em3d_sweep fig4_em3d_behavior fig_adaptive \
-             fig_phase_bound fig_provenance; do
+    for cmd in table2_benchmarks fig2_em3d_sweep fig4_em3d_behavior \
+               "spf_sweep --workloads=em3d,em3d-late,mcf,mst --controllers=static,aimd,capped" \
+               "spf_sweep --workloads=em3d,mcf,mst --provenance"; do
       echo "=============================================================="
-      echo "== build/bench/$b --scale=paper --threads=$THREADS"
+      echo "== build/bench/$cmd --scale=paper --threads=$THREADS"
       echo "=============================================================="
-      "build/bench/$b" --scale=paper --threads="$THREADS"
+      # shellcheck disable=SC2086  # cmd is a binary name plus its flags
+      build/bench/$cmd --scale=paper --threads="$THREADS"
       echo
     done
   } 2>&1 | tee bench_output_paper.txt

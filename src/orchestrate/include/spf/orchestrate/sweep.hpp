@@ -54,11 +54,8 @@ enum class HelperKind : std::uint8_t {
 enum class ControllerKind : std::uint8_t {
   kStatic,        // fixed A_SKI for the whole run (the paper's SP cells)
   kAdaptiveAimd,  // AIMD feedback walk from the cell's distance, free range
-  kAdaptiveCapped,  // AIMD walk with max_distance clamped to the cell's
-                    // Set-Affinity bound (the paper's thesis as a controller)
-  kAdaptivePhaseCapped  // AIMD walk re-clamped at interval boundaries to the
-                        // active phase's bound (phase-incremental analyzer;
-                        // see docs/method.md "Per-phase Set Affinity")
+  kAdaptiveCapped  // AIMD walk with max_distance clamped to the cell's
+                   // Set-Affinity bound (the paper's thesis as a controller)
 };
 
 [[nodiscard]] const char* to_string(ControllerKind kind) noexcept;
@@ -121,13 +118,6 @@ struct SweepSpec {
   /// a provenance-off sweep up to that suffix). Observation-only: tables,
   /// CSV, and every simulation metric are byte-identical on or off.
   bool provenance = false;
-  /// Windowing/hysteresis knobs for the per-plane phase analysis. Every
-  /// plane runs the phase-incremental analyzer (its whole-run result is the
-  /// plane bound, bit-identical to the legacy analysis; the phase partition
-  /// additionally lands in SweepCell::phase_count), and
-  /// kAdaptivePhaseCapped cells feed the per-phase bounds to the controller
-  /// as AdaptiveConfig::phase_caps.
-  PhaseAffinityConfig phase{};
 
   /// Structural check of the grid description. Returns the empty string when
   /// the spec can run, otherwise a one-line description of the first problem
@@ -150,8 +140,9 @@ struct SweepCell {
   std::uint32_t distance = 0;  // A_SKI (adaptive cells: the starting distance)
   /// Set-Affinity upper limit of this cell's workload × geometry plane.
   std::uint32_t bound_upper = 0;
-  /// Phases the plane's phase-incremental analysis detected (>= 1 on a
-  /// healthy plane; 0 when the plane failed).
+  /// Phases the plane's phase-incremental analysis (default
+  /// PhaseAffinityConfig) detected: >= 1 on a healthy plane, 0 when the
+  /// plane failed. Observation only; no controller reads it.
   std::uint32_t phase_count = 0;
   ControllerKind controller = ControllerKind::kStatic;
 };
@@ -165,14 +156,8 @@ struct AdaptiveCellStats {
   std::uint64_t increases = 0;
   std::uint64_t decreases = 0;
   /// Effective max_distance the controller ran with (for kAdaptiveCapped,
-  /// the Set-Affinity clamp; otherwise the spec's policy ceiling —
-  /// kAdaptivePhaseCapped keeps the policy ceiling here and carries its
-  /// per-phase ceilings in phase_caps).
+  /// the Set-Affinity clamp; otherwise the spec's policy ceiling).
   std::uint32_t distance_cap = 0;
-  /// kAdaptivePhaseCapped only: the per-phase ceilings handed to the
-  /// controller, and the re-clamps it applied at interval boundaries.
-  std::vector<PhaseDistanceCap> phase_caps;
-  std::vector<PhaseReclampEvent> reclamps;
 };
 
 struct CellResult {

@@ -29,8 +29,8 @@ std::vector<std::uint32_t> auto_distances(std::uint32_t bound) {
 
 /// Baseline + distance bound shared by every cell of one workload × geometry
 /// plane. The bound analysis is the phased one: bound.whole is bit-identical
-/// to the legacy estimate_distance_bound, and the phase partition feeds
-/// kAdaptivePhaseCapped cells (and the phase_count artifact field).
+/// to the legacy estimate_distance_bound, and the phase partition feeds the
+/// phase_count artifact field.
 struct Plane {
   PhasedDistanceBound bound;
   SpRunSummary baseline;
@@ -51,7 +51,6 @@ const char* to_string(ControllerKind kind) noexcept {
     case ControllerKind::kStatic: return "static";
     case ControllerKind::kAdaptiveAimd: return "adaptive-aimd";
     case ControllerKind::kAdaptiveCapped: return "adaptive-capped";
-    case ControllerKind::kAdaptivePhaseCapped: return "adaptive-phase-capped";
   }
   return "?";
 }
@@ -101,9 +100,6 @@ std::string SweepSpec::validate() const {
     if (const std::string problem = adaptive.validate(); !problem.empty()) {
       return "adaptive controller policy: " + problem;
     }
-  }
-  if (const std::string problem = phase.validate(); !problem.empty()) {
-    return "phase affinity: " + problem;
   }
   return "";
 }
@@ -173,7 +169,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         const TraceSource& src = *src_ptr;
         Plane& plane = planes[p];
         plane.bound = estimate_phase_bounds(src.trace, src.invocation_starts,
-                                            spec.geometries[g], spec.phase);
+                                            spec.geometries[g]);
         SpExperimentConfig cfg;
         cfg.sim.l2 = spec.geometries[g];
         cfg.sim.provenance = spec.provenance;
@@ -262,16 +258,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
                 acfg.min_distance,
                 std::min(acfg.max_distance, cell.bound_upper));
           }
-          if (cell.controller == ControllerKind::kAdaptivePhaseCapped) {
-            // The policy ceiling stays; each phase's bound re-clamps the walk
-            // at interval boundaries (run_adaptive intersects the caps with
-            // the policy range).
-            acfg.phase_caps.reserve(planes[p].bound.phases.size());
-            for (const PhaseDistanceBound& ph : planes[p].bound.phases) {
-              acfg.phase_caps.push_back(
-                  PhaseDistanceCap{ph.begin_iter, ph.upper_limit});
-            }
-          }
           const AdaptiveRunResult run =
               contexts.acquire()->run_adaptive(src.trace, cfg, acfg);
           cmp.sp = run.aggregate;
@@ -283,8 +269,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
           stats.increases = run.increases;
           stats.decreases = run.decreases;
           stats.distance_cap = acfg.max_distance;
-          stats.phase_caps = std::move(acfg.phase_caps);
-          stats.reclamps = run.reclamps;
           result.cells[i].adaptive = std::move(stats);
         }
         result.cells[i].cmp = cmp;  // engaged only when the run succeeded
@@ -401,34 +385,6 @@ void SweepResult::write_jsonl(std::ostream& out) const {
           .add("adaptive_decreases", c.adaptive->decreases)
           .add("distance_cap", c.adaptive->distance_cap)
           .add_raw("trajectory", trajectory);
-      if (!c.adaptive->phase_caps.empty()) {
-        std::string caps = "[";
-        for (std::size_t i = 0; i < c.adaptive->phase_caps.size(); ++i) {
-          const PhaseDistanceCap& cap = c.adaptive->phase_caps[i];
-          if (i != 0) caps += ",";
-          caps += "{\"begin\":" + std::to_string(cap.begin_iter) +
-                  ",\"upper\":" + std::to_string(cap.upper_limit) + "}";
-        }
-        caps += "]";
-        std::string reclamps = "[";
-        for (std::size_t i = 0; i < c.adaptive->reclamps.size(); ++i) {
-          const PhaseReclampEvent& ev = c.adaptive->reclamps[i];
-          if (i != 0) reclamps += ",";
-          // phase 0xffffffff marks the implicit pre-first-cap region.
-          const std::string phase =
-              ev.phase == 0xffffffffu ? "-1" : std::to_string(ev.phase);
-          reclamps += "{\"interval\":" + std::to_string(ev.interval) +
-                      ",\"phase\":" + phase +
-                      ",\"cap\":" + std::to_string(ev.cap) +
-                      ",\"distance\":" + std::to_string(ev.distance_after) +
-                      "}";
-        }
-        reclamps += "]";
-        obj.add("reclamp_count",
-                static_cast<std::uint64_t>(c.adaptive->reclamps.size()))
-            .add_raw("phase_bounds", caps)
-            .add_raw("reclamps", reclamps);
-      }
     }
     if (c.cmp->sp.provenance.enabled) {
       // Appended after every other field: a provenance-on row is the

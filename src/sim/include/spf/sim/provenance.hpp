@@ -101,9 +101,6 @@ struct ProvenanceSummary {
                                   static_cast<double>(used_timely);
   }
 
-  /// Merge `other` into this summary. No-op when `other` is disabled.
-  void add(const ProvenanceSummary& other) noexcept;
-
   /// Bucket index for a demand-lookup distance: 0 for 0, else
   /// min(bit_width(d), kHistogramBuckets - 1).
   [[nodiscard]] static std::size_t bucket_of(std::uint64_t distance) noexcept {

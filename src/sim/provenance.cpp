@@ -2,28 +2,6 @@
 
 namespace spf {
 
-void ProvenanceSummary::add(const ProvenanceSummary& other) noexcept {
-  if (!other.enabled) return;
-  enabled = true;
-  tracked_fills += other.tracked_fills;
-  helper_fills += other.helper_fills;
-  hardware_fills += other.hardware_fills;
-  used_timely += other.used_timely;
-  used_late += other.used_late;
-  evicted_unused += other.evicted_unused;
-  polluting += other.polluting;
-  resident_unused += other.resident_unused;
-  reuse_confirms += other.reuse_confirms;
-  late_pollution_confirms += other.late_pollution_confirms;
-  fill_to_use_total += other.fill_to_use_total;
-  polluted_sets += other.polluted_sets;
-  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-    fill_to_use[b] += other.fill_to_use[b];
-    victim_reuse[b] += other.victim_reuse[b];
-    set_heatmap[b] += other.set_heatmap[b];
-  }
-}
-
 ProvenanceTracker::ProvenanceTracker(std::size_t live_capacity)
     : flags_(live_capacity, 0), words_(live_capacity, 0) {
   resolved_.enabled = true;

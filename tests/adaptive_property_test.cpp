@@ -11,11 +11,16 @@
 //     and same-distance retunes of the continuous run change nothing;
 //   * an adaptive run with real retunes is identical to the same control
 //     loop driven through the record-at-a-time oracle (tests/replay_oracle.hpp)
-//     at the same pause points, over seeded random IR traces and em3d; it
-//     does not depend on the helper feed's window size (1, 7, 4096 records)
-//     and allocates no trace-record storage.
+//     at the same pause points, over seeded random IR traces, seeded
+//     polluting synthetic traces and em3d; it does not depend on the helper
+//     feed's window size (1, 7, 4096 records) and allocates no trace-record
+//     storage;
+//   * per-phase ceilings (AdaptiveConfig::phase_caps) from an
+//     estimate_phase_bounds schedule on em3d-late re-clamp the walk exactly
+//     as the same loop does, and every interval stays under its phase's cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
@@ -26,6 +31,7 @@
 #include "replay_oracle.hpp"
 #include "sim_test_util.hpp"
 #include "spf/core/adaptive.hpp"
+#include "spf/core/distance_bound.hpp"
 #include "spf/core/experiment_context.hpp"
 #include "spf/ir/interp.hpp"
 #include "spf/orchestrate/sweep.hpp"
@@ -187,6 +193,14 @@ void expect_identical(const AdaptiveRunResult& got,
   EXPECT_EQ(got.initial_distance, want.initial_distance);
   EXPECT_EQ(got.increases, want.increases);
   EXPECT_EQ(got.decreases, want.decreases);
+  ASSERT_EQ(got.reclamps.size(), want.reclamps.size());
+  for (std::size_t i = 0; i < got.reclamps.size(); ++i) {
+    SCOPED_TRACE("reclamp " + std::to_string(i));
+    EXPECT_EQ(got.reclamps[i].interval, want.reclamps[i].interval);
+    EXPECT_EQ(got.reclamps[i].phase, want.reclamps[i].phase);
+    EXPECT_EQ(got.reclamps[i].cap, want.reclamps[i].cap);
+    EXPECT_EQ(got.reclamps[i].distance_after, want.reclamps[i].distance_after);
+  }
   expect_same_summary(got.aggregate, want.aggregate);
 }
 
@@ -303,18 +317,47 @@ struct ContinuousRun {
   SimResult sim;
 };
 
+/// Marks a re-clamp to max_distance before the first cap's begin_iter.
+constexpr std::uint32_t kNoPhase = 0xffffffffu;
+
 /// The continuous adaptive run restated as a plain control loop over the
 /// simulator's pause seam: `step` is CmpSimulator::run_until (batched) or
-/// ReplayOracle::run_until (record at a time). Mirrors run_adaptive without
-/// phase caps: pause where the main core reaches the next interval_iters
-/// boundary, feed the controller the interval's counter deltas, retune the
-/// helper feed.
+/// ReplayOracle::run_until (record at a time). Mirrors run_adaptive: pause
+/// where the main core reaches the next interval_iters boundary, feed the
+/// controller the interval's counter deltas, re-clamp the ceiling when the
+/// next interval's first iteration enters another phase, retune the helper
+/// feed.
 template <std::size_t WindowN, typename Step>
 ContinuousRun run_continuous(const TraceBuffer& trace, const SimConfig& config,
                              const AdaptiveConfig& adaptive, Step step) {
   ContinuousRun out;
   FeedbackDistanceController controller(adaptive);
   out.adaptive.initial_distance = controller.distance();
+  const std::uint32_t interval = adaptive.interval_iters;
+  std::uint32_t first = trace[0].outer_iter / interval * interval;
+  // The active phase is the last cap that begins at or before `first`;
+  // unresolved before the first interval, so that one always records.
+  std::optional<std::uint32_t> active_phase;
+  const auto reclamp = [&] {
+    if (adaptive.phase_caps.empty()) return;
+    std::uint32_t phase = kNoPhase;
+    for (std::uint32_t c = 0; c < adaptive.phase_caps.size() &&
+                              adaptive.phase_caps[c].begin_iter <= first;
+         ++c) {
+      phase = c;
+    }
+    if (phase == active_phase) return;
+    active_phase = phase;
+    const std::uint32_t after = controller.reclamp_max(
+        phase == kNoPhase ? adaptive.max_distance
+                          : adaptive.phase_caps[phase].upper_limit);
+    out.adaptive.reclamps.push_back(
+        PhaseReclampEvent{.interval = out.adaptive.intervals,
+                          .phase = phase,
+                          .cap = controller.max_distance(),
+                          .distance_after = after});
+  };
+  reclamp();
   const SpParams start =
       SpParams::from_distance_rp(controller.distance(), adaptive.rp);
   CursorWindowSource<HelperViewCursor, WindowN> feed(
@@ -324,8 +367,6 @@ ContinuousRun run_continuous(const TraceBuffer& trace, const SimConfig& config,
             {CoreStream{.trace = &trace, .origin = FillOrigin::kDemand},
              CoreStream{.source = &feed, .origin = FillOrigin::kHelper,
                         .sync = RoundSync{.leader = 0, .round_iters = 1}}});
-  const std::uint32_t interval = adaptive.interval_iters;
-  std::uint32_t first = trace[0].outer_iter / interval * interval;
   SpRunSummary before;
   for (;;) {
     out.adaptive.distance_trajectory.push_back(controller.distance());
@@ -344,6 +385,7 @@ ContinuousRun run_continuous(const TraceBuffer& trace, const SimConfig& config,
     if (!next) break;
     before = now;
     first = *next / interval * interval;
+    reclamp();
     feed.cursor().retune(
         SpParams::from_distance_rp(controller.distance(), adaptive.rp));
   }
@@ -366,10 +408,10 @@ std::optional<std::uint32_t> oracle_step(CmpSimulator& sim,
 /// Pins one adaptive configuration: run_adaptive == the batched control
 /// loop == the oracle loop, at helper windows of 1, 7 and 4096 records, with
 /// zero trace-record allocations on the production path. Returns the
-/// number of distance changes the walk made.
-std::uint64_t pin_continuous_run(const TraceBuffer& trace,
-                                 const SimConfig& config,
-                                 const AdaptiveConfig& adaptive) {
+/// oracle's run.
+AdaptiveRunResult pin_continuous_run(const TraceBuffer& trace,
+                                     const SimConfig& config,
+                                     const AdaptiveConfig& adaptive) {
   const ContinuousRun oracle =
       run_continuous<4096>(trace, config, adaptive, oracle_step);
   {
@@ -406,10 +448,15 @@ std::uint64_t pin_continuous_run(const TraceBuffer& trace,
         << "the continuous run must not grow trace-record storage";
     expect_identical(production, oracle.adaptive);
   }
-  std::uint64_t moves = 0;
-  const std::vector<std::uint32_t>& walk = oracle.adaptive.distance_trajectory;
-  for (std::size_t i = 1; i < walk.size(); ++i) moves += walk[i] != walk[i - 1];
-  return moves;
+  return oracle.adaptive;
+}
+
+/// Distance changes along a run's trajectory.
+std::uint64_t moves(const AdaptiveRunResult& run) {
+  std::uint64_t n = 0;
+  const std::vector<std::uint32_t>& walk = run.distance_trajectory;
+  for (std::size_t i = 1; i < walk.size(); ++i) n += walk[i] != walk[i - 1];
+  return n;
 }
 
 class AdaptiveOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -420,7 +467,7 @@ TEST_P(AdaptiveOracleTest, RandomTraceRetunesMatchOracle) {
       ir::interpret(ir::random_program(GetParam(), vm), vm);
   if (interp.trace.size() == 0) GTEST_SKIP() << "degenerate program";
   // Few random programs pollute, so mostly the rising walk moves here; the
-  // em3d case below exercises both directions.
+  // synthetic and em3d cases below exercise both directions.
   for (const bool rising : {false, true}) {
     SCOPED_TRACE(rising ? "rising walk" : "falling walk");
     (void)pin_continuous_run(interp.trace, small_machine(),
@@ -431,6 +478,29 @@ TEST_P(AdaptiveOracleTest, RandomTraceRetunesMatchOracle) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveOracleTest,
                          ::testing::Range<std::uint64_t>(1, 17));
 
+class AdaptiveOracleSyntheticTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AdaptiveOracleSyntheticTest, PollutingTraceRetunesMatchOracle) {
+  // Random reads over a footprint four times the small machine's L2: the
+  // helper's lead evicts live lines, so pollution drives the falling walk.
+  SyntheticConfig wcfg;
+  wcfg.iterations = 3000;
+  wcfg.random_reads = 8;
+  wcfg.random_footprint_lines = 4096;
+  wcfg.seed = GetParam();
+  const TraceBuffer trace = SyntheticWorkload(wcfg).emit_trace();
+  for (const bool rising : {false, true}) {
+    SCOPED_TRACE(rising ? "rising walk" : "falling walk");
+    const AdaptiveRunResult run =
+        pin_continuous_run(trace, small_machine(), walking(100, 64, rising));
+    EXPECT_GE(moves(run), 1u) << "the walk must actually retune the helper";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdaptiveOracleSyntheticTest,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
 TEST(AdaptiveOracleEm3dTest, RetunesMatchOracle) {
   Em3dConfig wl;
   wl.nodes = 3000;
@@ -439,10 +509,106 @@ TEST(AdaptiveOracleEm3dTest, RetunesMatchOracle) {
   const TraceBuffer trace = Em3dWorkload(wl).emit_trace();
   for (const bool rising : {false, true}) {
     SCOPED_TRACE(rising ? "rising walk" : "falling walk");
-    const std::uint64_t moves =
+    const AdaptiveRunResult run =
         pin_continuous_run(trace, small_machine(), walking(150, 64, rising));
-    EXPECT_GE(moves, 3u) << "the walk must actually retune the helper";
+    EXPECT_GE(moves(run), 3u) << "the walk must actually retune the helper";
   }
+}
+
+// ---- per-phase ceilings ----------------------------------------------------
+
+/// em3d-late (quiet reduced-arity prelude, pressured full-arity pass last)
+/// sized for the small machine.
+std::shared_ptr<const TraceSource> em3d_late_source() {
+  Em3dConfig wl;
+  wl.nodes = 3000;
+  wl.arity = 16;
+  wl.passes = 2;
+  wl.prelude_arity = 2;
+  return orchestrate::em3d_spec(wl, "em3d-late").make();
+}
+
+/// The walk's ceilings from estimate_phase_bounds: one cap per phase.
+std::vector<PhaseDistanceCap> phase_schedule(const TraceSource& src,
+                                             const CacheGeometry& l2) {
+  const PhasedDistanceBound bound =
+      estimate_phase_bounds(src.trace, src.invocation_starts, l2);
+  std::vector<PhaseDistanceCap> caps;
+  for (const PhaseDistanceBound& ph : bound.phases) {
+    caps.push_back(PhaseDistanceCap{ph.begin_iter, ph.upper_limit});
+  }
+  return caps;
+}
+
+/// The re-clamp contracts: the first event is at interval 0, events come in
+/// strictly increasing interval order, each event's cap is its phase's bound
+/// clamped into [min_distance, max_distance], and no interval's distance is
+/// above the cap of the latest event at or before it.
+void expect_reclamp_invariants(const AdaptiveRunResult& run,
+                               const AdaptiveConfig& acfg) {
+  const std::vector<PhaseReclampEvent>& events = run.reclamps;
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().interval, 0u);
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const PhaseReclampEvent& ev = events[i];
+    SCOPED_TRACE("reclamp " + std::to_string(i));
+    if (i > 0) {
+      EXPECT_GT(ev.interval, events[i - 1].interval);
+    }
+    ASSERT_TRUE(ev.phase == kNoPhase || ev.phase < acfg.phase_caps.size());
+    const std::uint32_t scheduled = ev.phase == kNoPhase
+                                        ? acfg.max_distance
+                                        : acfg.phase_caps[ev.phase].upper_limit;
+    EXPECT_EQ(ev.cap,
+              std::clamp(scheduled, acfg.min_distance, acfg.max_distance));
+    EXPECT_LE(ev.distance_after, ev.cap);
+    const std::uint64_t end = i + 1 < events.size()
+                                  ? events[i + 1].interval
+                                  : run.distance_trajectory.size();
+    for (std::uint64_t j = ev.interval; j < end; ++j) {
+      EXPECT_LE(run.distance_trajectory[j], ev.cap) << "interval " << j;
+    }
+  }
+}
+
+TEST(AdaptivePhaseCapsTest, ScheduleRetunesMatchOracleAndHoldCaps) {
+  const std::shared_ptr<const TraceSource> src = em3d_late_source();
+  const SimConfig machine = small_machine();
+  const std::vector<PhaseDistanceCap> caps = phase_schedule(*src, machine.l2);
+  ASSERT_GE(caps.size(), 2u) << "em3d-late must show more than one phase";
+  for (const bool rising : {false, true}) {
+    SCOPED_TRACE(rising ? "rising walk" : "falling walk");
+    AdaptiveConfig acfg = walking(150, 256, rising);
+    acfg.phase_caps = caps;
+    const AdaptiveRunResult run = pin_continuous_run(src->trace, machine, acfg);
+    expect_reclamp_invariants(run, acfg);
+    EXPECT_GE(run.reclamps.size(), 2u) << "the walk must change phase";
+    EXPECT_GE(moves(run), 3u) << "the walk must actually retune the helper";
+  }
+}
+
+TEST(AdaptivePhaseCapsTest, SingleCapEqualsPolicyCeiling) {
+  const std::shared_ptr<const TraceSource> src = em3d_late_source();
+  SpExperimentConfig base;
+  base.sim = small_machine();
+  ExperimentContext ctx;
+  const AdaptiveConfig free = walking(150, 256, true);
+  const AdaptiveRunResult unclamped = ctx.run_adaptive(src->trace, base, free);
+  const std::uint32_t ceiling = 16;
+  ASSERT_GT(*std::max_element(unclamped.distance_trajectory.begin(),
+                              unclamped.distance_trajectory.end()),
+            ceiling)
+      << "the ceiling must bind";
+
+  AdaptiveConfig capped = free;
+  capped.max_distance = ceiling;
+  AdaptiveConfig one_phase = free;
+  one_phase.phase_caps = {PhaseDistanceCap{0, ceiling}};
+  const AdaptiveRunResult by_max = ctx.run_adaptive(src->trace, base, capped);
+  const AdaptiveRunResult by_phase =
+      ctx.run_adaptive(src->trace, base, one_phase);
+  EXPECT_EQ(by_phase.distance_trajectory, by_max.distance_trajectory);
+  expect_same_summary(by_phase.aggregate, by_max.aggregate);
 }
 
 // ---- continuous-run contracts ----------------------------------------------

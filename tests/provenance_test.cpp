@@ -257,29 +257,6 @@ TEST(ProvenanceTrackerTest, ResetReturnsToFreshState) {
   EXPECT_EQ(s.fate_total(), 0u);
 }
 
-TEST(ProvenanceSummaryTest, AddMergesCountersAndHistograms) {
-  ProvenanceTracker a(64);
-  a.on_fill(1, FillOrigin::kHelper, false);
-  a.on_demand_lookup();
-  a.on_demand_hit(1);
-  ProvenanceTracker b(64);
-  b.on_fill(2, FillOrigin::kHardware, true);
-
-  ProvenanceSummary merged = snap(a);
-  merged.add(snap(b));
-  expect_partition(merged);
-  EXPECT_EQ(merged.tracked_fills, 2u);
-  EXPECT_EQ(merged.used_timely, 1u);
-  EXPECT_EQ(merged.used_late, 1u);
-
-  // Disabled summaries merge as no-ops.
-  ProvenanceSummary disabled;
-  ProvenanceSummary target = merged;
-  target.add(disabled);
-  EXPECT_EQ(target.tracked_fills, merged.tracked_fills);
-  EXPECT_EQ(target.fate_total(), merged.fate_total());
-}
-
 // ---- observer-effect differential against the pinned goldens -------------
 
 std::string golden_path(const char* name) {
