@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "spf/orchestrate/sweep.hpp"
 #include "spf/sim/simulator.hpp"
 
 int main(int argc, char** argv) {
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
   CmpSimulator base_sim(sim);
   const SimResult baseline = base_sim.run({CoreStream{.trace = &trace}});
 
-  for (std::uint32_t d : bench::distances_around(bound.upper_limit)) {
+  for (std::uint32_t d : orchestrate::auto_distances(bound.upper_limit)) {
     const SpParams params = SpParams::from_distance_rp(d, 0.5);
     const TraceBuffer helper = make_helper_trace(trace, params);
     CmpSimulator simulator(sim);

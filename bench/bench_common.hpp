@@ -220,39 +220,6 @@ inline MstConfig mst_config(const Scale& s) {
   return c;
 }
 
-struct SweepPoint {
-  std::uint32_t distance = 0;
-  SpComparison cmp;
-};
-
-/// Runs one baseline and one SP run per distance (shared baseline). The SP
-/// runs fan out over scale.threads workers via spf::orchestrate; points come
-/// back in `distances` order regardless of completion order, so the emitted
-/// tables are byte-identical at any thread count. Throws std::runtime_error
-/// if any run fails.
-inline std::vector<SweepPoint> distance_sweep(
-    const TraceBuffer& trace, const std::vector<std::uint32_t>& distances,
-    const Scale& scale, double rp = 0.5) {
-  SpExperimentConfig cfg;
-  cfg.sim.l2 = scale.l2;
-  ExperimentContextPool contexts(orchestrate::resolve_threads(scale.threads));
-  const SpRunSummary baseline = contexts.acquire()->run_original(trace, cfg);
-  std::vector<SweepPoint> points(distances.size());
-  const auto outcomes = orchestrate::run_indexed(
-      distances.size(), scale.threads,
-      [&](std::size_t i) {
-        SpExperimentConfig job_cfg = cfg;
-        job_cfg.params = SpParams::from_distance_rp(distances[i], rp);
-        points[i].distance = distances[i];
-        points[i].cmp.original = baseline;
-        points[i].cmp.sp = contexts.acquire()->run_sp_once(trace, job_cfg);
-      },
-      orchestrate::stderr_progress("  sweep"));
-  const std::string error = orchestrate::first_error(outcomes);
-  if (!error.empty()) throw std::runtime_error("distance sweep: " + error);
-  return points;
-}
-
 /// Routes the --metrics-out= / --trace-out= flags: when either is set, owns
 /// a telemetry::Session sized one lane per sweep worker (plus the main lane),
 /// installs it for the driver's lifetime, and writes the artifacts on flush()
@@ -311,15 +278,5 @@ class TelemetrySink {
   std::unique_ptr<telemetry::Session> session_;
   telemetry::Session* previous_ = nullptr;
 };
-
-/// Distances spanning both sides of the pollution bound, paper-figure style.
-inline std::vector<std::uint32_t> distances_around(std::uint32_t bound) {
-  std::vector<std::uint32_t> d;
-  for (double f : {0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0}) {
-    const auto v = static_cast<std::uint32_t>(f * bound);
-    if (v >= 1 && (d.empty() || v != d.back())) d.push_back(v);
-  }
-  return d;
-}
 
 }  // namespace spf::bench

@@ -66,14 +66,16 @@ std::vector<std::string> split(const std::string& s, char sep) {
 /// Fate-mix table: one row per cell, fates as percentages of tracked fills.
 spf::Table fate_table(const spf::orchestrate::SweepResult& result) {
   using spf::ProvenanceSummary;
-  spf::Table t({"workload", "L2", "RP", "A_SKI", "vs bound", "status",
-                "tracked", "timely(%)", "late(%)", "evicted(%)",
-                "polluting(%)", "resident(%)", "fill_to_use_mean",
-                "pollution_rate"});
+  spf::Table t({"workload", "L2", "helper", "controller", "RP", "A_SKI",
+                "vs bound", "status", "tracked", "timely(%)", "late(%)",
+                "evicted(%)", "polluting(%)", "resident(%)",
+                "fill_to_use_mean", "pollution_rate"});
   for (const auto& c : result.cells) {
     t.row()
         .add(c.cell.workload)
         .add(c.cell.l2.to_string())
+        .add(to_string(c.cell.helper))
+        .add(to_string(c.cell.controller))
         .add(c.cell.rp, 2)
         .add(static_cast<std::uint64_t>(c.cell.distance));
     if (!c.ok) {
@@ -189,7 +191,11 @@ int main(int argc, char** argv) {
         std::cerr << "bad geometry '" << g << "' (want bytes:ways:line)\n";
         return 2;
       }
-      spec.geometries.emplace_back(bytes, ways, line);
+      try {
+        spec.geometries.emplace_back(bytes, ways, line);
+      } catch (const std::exception& e) {
+        bench::usage_error("bad L2 geometry '" + g + "': " + e.what());
+      }
     }
   }
   spec.provenance = bench::require_bool(flags, "provenance", false);

@@ -46,79 +46,69 @@ if [ -f BENCH_perf.json ] && command -v python3 >/dev/null 2>&1; then
   python3 scripts/check_bench_json.py BENCH_perf.json
 fi
 
-# The full cross-product in one orchestrated run: every workload × a ladder
-# of distances around each plane's bound × both RP regimes, JSONL artifact
-# alongside the table — plus the telemetry artifacts: a deterministic metrics
-# dump and a Perfetto-loadable per-worker timeline of the whole sweep (open
-# sweep_trace.json in https://ui.perfetto.dev; see docs/telemetry.md).
-{
-  echo "=============================================================="
-  echo "== build/bench/spf_sweep --workloads=em3d,mcf,mst --rps=0.5,1.0" \
-       "--threads=$THREADS"
-  echo "=============================================================="
-  build/bench/spf_sweep --workloads=em3d,mcf,mst --rps=0.5,1.0 \
-    --threads="$THREADS" --jsonl=sweep_results.jsonl \
-    --metrics-out=sweep_metrics.jsonl --trace-out=sweep_trace.json
-} 2>&1 | tee -a bench_output.txt
+# One spf_sweep flag set: output appended to bench_output.txt under a
+# banner, its --jsonl= artifact (first argument) held to the
+# check_bench_json.py contract named by the second (--sweep|--provenance),
+# and a --trace-out= timeline, when the flags name one, held to the
+# trace-event schema (the validators ctest runs) when python3 is around.
+run_sweep() {
+  local jsonl="$1" contract="$2" trace="" flag
+  shift 2
+  for flag in "$@"; do
+    case "$flag" in --trace-out=*) trace="${flag#--trace-out=}" ;; esac
+  done
+  {
+    echo "=============================================================="
+    echo "== build/bench/spf_sweep $* --threads=$THREADS"
+    echo "=============================================================="
+    build/bench/spf_sweep "$@" --threads="$THREADS" --jsonl="$jsonl"
+  } 2>&1 | tee -a bench_output.txt
+  if command -v python3 >/dev/null 2>&1; then
+    if [ -n "$trace" ]; then python3 scripts/check_trace_json.py "$trace"; fi
+    python3 scripts/check_bench_json.py "$contract" "$jsonl"
+  fi
+}
 
-# Sanity-check the emitted timeline when python3 is around (same validator
-# ctest runs against the perf_smoke artifact), and hold the sweep JSONL to
-# its per-cell contracts (phase_count >= 1 on every ok cell).
-if [ -f sweep_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py sweep_trace.json
-fi
-if [ -f sweep_results.jsonl ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_bench_json.py --sweep sweep_results.jsonl
-fi
+# The full cross-product in one orchestrated run: every workload × a ladder
+# of distances around each plane's bound × both RP regimes — plus the
+# telemetry artifacts: a deterministic metrics dump and a Perfetto-loadable
+# per-worker timeline of the whole sweep (open sweep_trace.json in
+# https://ui.perfetto.dev; see docs/telemetry.md). Its mcf plane is Fig. 5.
+run_sweep sweep_results.jsonl --sweep --workloads=em3d,mcf,mst --rps=0.5,1.0 \
+  --metrics-out=sweep_metrics.jsonl --trace-out=sweep_trace.json
 
 # Adaptive-vs-static controller ablation: every workload (em3d-late too, the
 # late-tight-phase fixture) × the distance ladder × {static, adaptive-AIMD,
 # adaptive-capped}, JSONL artifact with the per-cell distance trajectories,
 # plus a timeline carrying the per-interval adaptive.distance counter track.
-{
-  echo "=============================================================="
-  echo "== build/bench/spf_sweep --workloads=em3d,em3d-late,mcf,mst" \
-       "--controllers=static,aimd,capped --threads=$THREADS"
-  echo "=============================================================="
-  build/bench/spf_sweep --workloads=em3d,em3d-late,mcf,mst \
-    --controllers=static,aimd,capped --threads="$THREADS" \
-    --jsonl=sweep_adaptive.jsonl --metrics-out=sweep_adaptive_metrics.jsonl \
-    --trace-out=sweep_adaptive_trace.json
-} 2>&1 | tee -a bench_output.txt
-
-if [ -f sweep_adaptive_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py sweep_adaptive_trace.json
-fi
-if [ -f sweep_adaptive.jsonl ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_bench_json.py --sweep sweep_adaptive.jsonl
-fi
+run_sweep sweep_adaptive.jsonl --sweep --workloads=em3d,em3d-late,mcf,mst \
+  --controllers=static,aimd,capped \
+  --metrics-out=sweep_adaptive_metrics.jsonl \
+  --trace-out=sweep_adaptive_trace.json
 
 # Prefetch-lifecycle provenance: the fate-mix and timeliness figure (what
 # happened to every helper/hardware prefetch fill across the distance
 # ladder), JSONL carrying the per-cell fate counts, fill→first-use and
 # victim reuse-distance histograms, and per-set pollution heatmaps, held to
 # the lifecycle accounting contracts (docs/provenance.md).
-{
-  echo "=============================================================="
-  echo "== build/bench/spf_sweep --workloads=em3d,mcf,mst --provenance" \
-       "--threads=$THREADS"
-  echo "=============================================================="
-  build/bench/spf_sweep --workloads=em3d,mcf,mst --provenance \
-    --threads="$THREADS" --jsonl=sweep_provenance.jsonl \
-    --metrics-out=sweep_provenance_metrics.jsonl \
-    --trace-out=sweep_provenance_trace.json
-} 2>&1 | tee -a bench_output.txt
+run_sweep sweep_provenance.jsonl --provenance --workloads=em3d,mcf,mst \
+  --provenance --metrics-out=sweep_provenance_metrics.jsonl \
+  --trace-out=sweep_provenance_trace.json
 
-if [ -f sweep_provenance_trace.json ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace_json.py sweep_provenance_trace.json
-fi
-if [ -f sweep_provenance.jsonl ] && command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_bench_json.py --provenance sweep_provenance.jsonl
-fi
+# Figure 6: MST's behavior change over the paper's own distances (5-200,
+# well below MST's Set-Affinity bound). Figures 2 and 4 (em3d) are the
+# argument-free spf_sweep run in the loop above.
+run_sweep sweep_fig6.jsonl --sweep --workloads=mst \
+  --distances=5,10,20,30,50,70,100,200
+
+# Helper-kind ablation: the paper's blocking-load helper vs a
+# prefetch-instruction helper over em3d's distance ladder (compare the rows
+# at half and at four times the bound; helper_finish is in the JSONL).
+run_sweep sweep_helpers.jsonl --sweep --helpers=blocking,prefetch
 
 if [[ "${1:-}" == "--paper" ]]; then
   {
-    for cmd in table2_benchmarks fig2_em3d_sweep fig4_em3d_behavior \
+    for cmd in table2_benchmarks "spf_sweep --workloads=em3d" \
                "spf_sweep --workloads=em3d,em3d-late,mcf,mst --controllers=static,aimd,capped" \
                "spf_sweep --workloads=em3d,mcf,mst --provenance"; do
       echo "=============================================================="

@@ -2,13 +2,20 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
-#include "spf/common/assert.hpp"
 #include "spf/core/helper_gen.hpp"
 #include "spf/profile/invocations.hpp"
 #include "spf/telemetry/telemetry.hpp"
 
 namespace spf {
+namespace {
+
+constexpr const char* kNoSaturation =
+    "no cache set saturates: the working set fits in the cache and prefetch "
+    "distance is unconstrained by pollution";
+
+}  // namespace
 
 std::string DistanceBound::to_string() const {
   std::ostringstream out;
@@ -26,9 +33,7 @@ DistanceBound estimate_distance_bound(
   telemetry::count(telemetry::Counter::kDistanceBounds);
   const WorkloadSaResult sa =
       analyze_workload_sa(main_trace, invocation_starts, l2);
-  SPF_ASSERT(sa.merged.any_saturated(),
-             "no cache set saturates: the working set fits in the cache and "
-             "prefetch distance is unconstrained by pollution");
+  if (!sa.merged.any_saturated()) throw std::runtime_error(kNoSaturation);
   DistanceBound bound;
   bound.original_min_sa = sa.merged.min_sa();
   bound.upper_limit = std::max<std::uint32_t>(1, bound.original_min_sa / 2);
@@ -126,9 +131,9 @@ PhasedDistanceBound estimate_phase_bounds(
   telemetry::count(telemetry::Counter::kPhaseAnalyses);
   const PhasedSaResult sa =
       analyze_workload_sa_phased(main_trace, invocation_starts, l2, config);
-  SPF_ASSERT(sa.whole.merged.any_saturated(),
-             "no cache set saturates: the working set fits in the cache and "
-             "prefetch distance is unconstrained by pollution");
+  if (!sa.whole.merged.any_saturated()) {
+    throw std::runtime_error(kNoSaturation);
+  }
   telemetry::count(telemetry::Counter::kAffinityPhases, sa.phases.size());
   PhasedDistanceBound out;
   out.whole.original_min_sa = sa.whole.merged.min_sa();

@@ -40,7 +40,9 @@ struct DistanceBound {
 };
 
 /// Estimates the bound from the main thread's hot-loop trace, honoring
-/// hot-function invocation boundaries (see analyze_workload_sa).
+/// hot-function invocation boundaries (see analyze_workload_sa). Throws
+/// std::runtime_error when no cache set saturates: the working set fits in
+/// the cache and pollution sets no bound.
 [[nodiscard]] DistanceBound estimate_distance_bound(
     const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts,
@@ -97,8 +99,9 @@ struct PhasedDistanceBound {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Phased analogue of estimate_distance_bound: same whole-run bound, plus a
-/// per-phase cap max(1, phase_min_sa / 2).
+/// Phased analogue of estimate_distance_bound: same whole-run bound (and the
+/// same throw when no set saturates), plus a per-phase cap
+/// max(1, phase_min_sa / 2).
 [[nodiscard]] PhasedDistanceBound estimate_phase_bounds(
     const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts, const CacheGeometry& l2,

@@ -2,21 +2,25 @@
 
 #include <bit>
 #include <sstream>
-
-#include "spf/common/assert.hpp"
+#include <stdexcept>
 
 namespace spf {
 
 CacheGeometry::CacheGeometry(std::uint64_t size_bytes, std::uint32_t ways,
                              std::uint32_t line_bytes)
     : size_bytes_(size_bytes), ways_(ways), line_bytes_(line_bytes) {
-  SPF_ASSERT(std::has_single_bit(size_bytes), "cache size must be a power of two");
-  SPF_ASSERT(std::has_single_bit(static_cast<std::uint64_t>(ways)),
-             "associativity must be a power of two");
-  SPF_ASSERT(std::has_single_bit(static_cast<std::uint64_t>(line_bytes)),
-             "line size must be a power of two");
-  SPF_ASSERT(size_bytes >= static_cast<std::uint64_t>(ways) * line_bytes,
-             "cache must hold at least one set");
+  if (!std::has_single_bit(size_bytes)) {
+    throw std::invalid_argument("cache size must be a power of two");
+  }
+  if (!std::has_single_bit(static_cast<std::uint64_t>(ways))) {
+    throw std::invalid_argument("associativity must be a power of two");
+  }
+  if (!std::has_single_bit(static_cast<std::uint64_t>(line_bytes))) {
+    throw std::invalid_argument("line size must be a power of two");
+  }
+  if (size_bytes < static_cast<std::uint64_t>(ways) * line_bytes) {
+    throw std::invalid_argument("cache must hold at least one set");
+  }
   num_sets_ = size_bytes / (static_cast<std::uint64_t>(ways) * line_bytes);
   line_shift_ = static_cast<std::uint32_t>(std::countr_zero(
       static_cast<std::uint64_t>(line_bytes)));

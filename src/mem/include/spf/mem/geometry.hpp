@@ -11,7 +11,8 @@
 namespace spf {
 
 /// Immutable description of one cache level's geometry. All three parameters
-/// must be powers of two; construction validates.
+/// must be powers of two and the cache must hold at least one set; the
+/// constructor throws std::invalid_argument otherwise.
 class CacheGeometry {
  public:
   CacheGeometry(std::uint64_t size_bytes, std::uint32_t ways,

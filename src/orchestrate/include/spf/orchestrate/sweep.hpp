@@ -10,14 +10,16 @@
 // completion order (the simulator itself is deterministic; see
 // docs/simulator.md).
 //
-// Work sharing mirrors the benches' hand-rolled loops: the trace is emitted
-// once per workload, and the baseline (original, no helper) run plus the
-// Set-Affinity distance bound are computed once per workload × geometry and
-// shared by every cell in that plane.
+// Work sharing: the trace is emitted once per workload, and the baseline
+// (original, no helper) run plus the Set-Affinity distance bound are
+// computed once per workload × geometry and shared by every cell in that
+// plane.
 //
-// Failure semantics: an exception inside any job (trace emission, baseline,
-// or cell simulation) marks only the dependent cells failed — the sweep
-// always completes and reports per-cell errors. See docs/orchestrator.md.
+// Failure semantics: an exception inside any job (trace emission, bound
+// analysis, baseline, or cell simulation) marks only the dependent cells
+// failed — the sweep always completes and reports per-cell errors. A plane
+// whose working set fits in the L2 fails that way: it has no bound. See
+// docs/orchestrator.md.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +92,7 @@ struct WorkloadSpec {
 
 struct SweepSpec {
   std::vector<WorkloadSpec> workloads;
-  /// Explicit A_SKI values. Empty -> auto: spf::bench-style ladder around the
+  /// Explicit A_SKI values. Empty -> auto: auto_distances() around the
   /// Set-Affinity bound of each workload × geometry plane.
   std::vector<std::uint32_t> distances;
   std::vector<double> rps = {0.5};
@@ -122,12 +124,12 @@ struct SweepSpec {
   /// Structural check of the grid description. Returns the empty string when
   /// the spec can run, otherwise a one-line description of the first problem
   /// found (empty workloads / rps / geometries / helpers / controllers, an RP
-  /// outside (0, 1], a zero-way or zero-line geometry, a duplicate or zero
-  /// explicit distance, a duplicate controller, an invalid adaptive policy
-  /// when an adaptive controller is present). run_sweep() calls this and
-  /// throws std::invalid_argument on a non-empty result; CLI drivers call it
-  /// directly to turn flag mistakes into usage errors (exit 2) instead of a
-  /// mid-sweep crash.
+  /// outside (0, 1], a duplicate or zero explicit distance, a duplicate
+  /// controller, an invalid adaptive policy when an adaptive controller is
+  /// present; a bad geometry never gets here, CacheGeometry's constructor
+  /// throws). run_sweep() calls this and throws std::invalid_argument on a
+  /// non-empty result; CLI drivers call it directly to turn flag mistakes
+  /// into usage errors (exit 2) instead of a mid-sweep crash.
   [[nodiscard]] std::string validate() const;
 };
 
@@ -199,6 +201,11 @@ struct SweepOptions {
   /// sweep; results are byte-identical either way.
   std::shared_ptr<ExperimentContextPool> pool;
 };
+
+/// The auto distance ladder (SweepSpec::distances empty): 1/8, 1/4, 1/2,
+/// 3/4, 1, 1.5, 2, 4 and 8 times `bound`, truncated, zeros and repeats
+/// dropped; {1} when nothing is left.
+[[nodiscard]] std::vector<std::uint32_t> auto_distances(std::uint32_t bound);
 
 /// Throws std::invalid_argument when spec.validate() reports a problem.
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec,

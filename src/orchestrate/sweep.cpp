@@ -13,10 +13,7 @@
 #include "spf/telemetry/telemetry.hpp"
 
 namespace spf::orchestrate {
-namespace {
 
-/// Distance ladder spanning both sides of the pollution bound (the benches'
-/// paper-figure ladder): fractions/multiples of the upper limit, deduplicated.
 std::vector<std::uint32_t> auto_distances(std::uint32_t bound) {
   std::vector<std::uint32_t> d;
   for (const double f : {0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0, 8.0}) {
@@ -26,6 +23,8 @@ std::vector<std::uint32_t> auto_distances(std::uint32_t bound) {
   if (d.empty()) d.push_back(1);
   return d;
 }
+
+namespace {
 
 /// Baseline + distance bound shared by every cell of one workload × geometry
 /// plane. The bound analysis is the phased one: bound.whole is bit-identical
@@ -71,11 +70,6 @@ std::string SweepSpec::validate() const {
     }
   }
   if (geometries.empty()) return "sweep spec has no L2 geometries";
-  for (const CacheGeometry& g : geometries) {
-    if (g.ways() == 0 || g.line_bytes() == 0 || g.num_sets() == 0) {
-      return "geometry " + g.to_string() + " has a zero dimension";
-    }
-  }
   if (helpers.empty()) return "sweep spec has no helper kinds";
   std::unordered_set<std::uint32_t> seen;
   for (const std::uint32_t d : distances) {

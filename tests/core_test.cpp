@@ -1,6 +1,8 @@
 // Unit tests for the SP core: parameter selection, helper-thread trace
 // synthesis (Fig. 1(b) semantics), distance bound, and the experiment
 // orchestrator's bookkeeping.
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "spf/core/distance_bound.hpp"
@@ -199,7 +201,13 @@ TEST(DistanceBoundDeathTest, NoSaturationIsAnError) {
   const CacheGeometry g(1024, 2, 64);
   TraceBuffer t;
   t.emit(0, 0, AccessKind::kRead, 0);
-  EXPECT_DEATH((void)estimate_distance_bound(t, {0}, g), "saturates");
+  EXPECT_THROW((void)estimate_distance_bound(t, {0}, g), std::runtime_error);
+  EXPECT_THROW((void)estimate_phase_bounds(t, {0}, g), std::runtime_error);
+  try {
+    (void)estimate_phase_bounds(t, {0}, g);
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("saturates"), std::string::npos);
+  }
 }
 
 TEST(ExperimentTest, SummariesAndNormalizationArithmetic) {

@@ -1,10 +1,24 @@
 // Unit tests for spf_mem: cache geometry and address arithmetic.
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "spf/mem/geometry.hpp"
 
 namespace spf {
 namespace {
+
+/// What CacheGeometry's constructor throws for the triple ("" if nothing).
+std::string rejection(std::uint64_t size, std::uint32_t ways,
+                      std::uint32_t line) {
+  try {
+    (void)CacheGeometry(size, ways, line);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(CacheGeometryTest, Core2L2MatchesPaperTable1) {
   const CacheGeometry l2 = CacheGeometry::core2_l2();
@@ -69,13 +83,18 @@ TEST(CacheGeometryTest, EqualityAndToString) {
 }
 
 TEST(CacheGeometryDeathTest, RejectsNonPowerOfTwo) {
-  EXPECT_DEATH(CacheGeometry(1000, 4, 64), "power of two");
-  EXPECT_DEATH(CacheGeometry(1 << 16, 3, 64), "power of two");
-  EXPECT_DEATH(CacheGeometry(1 << 16, 4, 48), "power of two");
+  EXPECT_THROW(CacheGeometry(1000, 4, 64), std::invalid_argument);
+  EXPECT_THROW(CacheGeometry(1 << 16, 3, 64), std::invalid_argument);
+  EXPECT_THROW(CacheGeometry(1 << 16, 4, 48), std::invalid_argument);
+  EXPECT_EQ(rejection(1000, 4, 64), "cache size must be a power of two");
+  EXPECT_EQ(rejection(1 << 16, 3, 64), "associativity must be a power of two");
+  EXPECT_EQ(rejection(1 << 16, 4, 48), "line size must be a power of two");
+  EXPECT_EQ(rejection(1 << 16, 4, 64), "");
 }
 
 TEST(CacheGeometryDeathTest, RejectsCacheSmallerThanOneSet) {
-  EXPECT_DEATH(CacheGeometry(64, 4, 64), "at least one set");
+  EXPECT_THROW(CacheGeometry(64, 4, 64), std::invalid_argument);
+  EXPECT_EQ(rejection(64, 4, 64), "cache must hold at least one set");
 }
 
 TEST(TypesTest, EnumNames) {

@@ -257,6 +257,31 @@ TEST(Sweep, FailedWorkloadFailsOnlyItsCells) {
   }
 }
 
+TEST(Sweep, UnsaturatedPlaneFailsOnlyItsCells) {
+  SweepSpec spec = tiny_spec();
+  // 64 distinct lines fit the 256 KiB L2 many times over: no set saturates,
+  // so the plane has no Set-Affinity bound.
+  TraceSource fits;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    fits.trace.emit(Addr{i} * 64, i, AccessKind::kRead, 0);
+  }
+  fits.invocation_starts = {0};
+  spec.workloads.push_back(from_source("fits", std::move(fits)));
+
+  const SweepResult r = run_sweep(spec, SweepOptions{.threads = 2});
+  ASSERT_EQ(r.cells.size(), 12u);
+  EXPECT_EQ(r.failed_count(), 6u);
+  for (const auto& c : r.cells) {
+    if (c.cell.workload == "em3d") {
+      EXPECT_TRUE(c.ok) << "cell " << c.cell.id << ": " << c.error;
+    } else {
+      EXPECT_FALSE(c.ok);
+      EXPECT_NE(c.error.find("no cache set saturates"), std::string::npos)
+          << c.error;
+    }
+  }
+}
+
 TEST(Sweep, AutoDistancesLadderAroundTheBound) {
   SweepSpec spec = tiny_spec();
   spec.distances.clear();  // auto mode
