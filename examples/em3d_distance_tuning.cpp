@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <iostream>
 
+#include "example_flags.hpp"
 #include "spf/common/cli.hpp"
 #include "spf/common/csv.hpp"
 #include "spf/core/distance_bound.hpp"
@@ -25,8 +26,7 @@ int main(int argc, char** argv) {
   config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 20000));
   config.arity = static_cast<std::uint32_t>(flags.get_int("arity", 64));
   config.passes = 1;
-  const CacheGeometry l2(
-      static_cast<std::uint64_t>(flags.get_int("l2", 1 << 20)), 16, 64);
+  const CacheGeometry l2 = examples::l2_from_flags(flags);
 
   std::cout << "== EM3D prefetch-distance tuning walkthrough ==\n\n";
   Em3dWorkload workload(config);

@@ -4,6 +4,7 @@
 // eviction falls into — plus where the wasted bandwidth went.
 #include <iostream>
 
+#include "example_flags.hpp"
 #include "spf/common/cli.hpp"
 #include "spf/common/csv.hpp"
 #include "spf/core/distance_bound.hpp"
@@ -47,8 +48,7 @@ int main(int argc, char** argv) {
   using namespace spf;
   CliFlags flags(argc, argv);
   const std::string name = flags.get("workload", "em3d");
-  const CacheGeometry l2(
-      static_cast<std::uint64_t>(flags.get_int("l2", 1 << 20)), 16, 64);
+  const CacheGeometry l2 = examples::l2_from_flags(flags);
 
   auto workload = make_workload(name);
   const TraceBuffer trace = workload->emit_trace();

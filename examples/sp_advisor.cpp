@@ -7,6 +7,7 @@
 #include <iostream>
 #include <memory>
 
+#include "example_flags.hpp"
 #include "spf/common/cli.hpp"
 #include "spf/core/advisor.hpp"
 #include "spf/workloads/em3d.hpp"
@@ -57,8 +58,7 @@ int main(int argc, char** argv) {
   }
 
   AdvisorConfig config;
-  config.l2 = CacheGeometry(
-      static_cast<std::uint64_t>(flags.get_int("l2", 1 << 20)), 16, 64);
+  config.l2 = examples::l2_from_flags(flags);
 
   std::cout << "== SP advisor: " << workload->name() << " on "
             << config.l2.to_string() << " ==\n\n";

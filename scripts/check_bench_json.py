@@ -4,6 +4,7 @@
 Usage: check_bench_json.py BENCH_perf.json [BENCH_perf.json ...]
        check_bench_json.py --sweep sweep.jsonl [sweep.jsonl ...]
        check_bench_json.py --provenance prov.jsonl [prov.jsonl ...]
+       check_bench_json.py --ratios PERF_RATIOS.jsonl
 
 With --sweep, each file is a JSONL artifact from spf_sweep (one cell per
 line) and the per-line contracts are:
@@ -35,8 +36,20 @@ accounting (docs/provenance.md):
     pushing the distance past the Set-Affinity bound must not win
     timeliness back.
 
-Without --sweep/--provenance, each file is a BENCH_perf.json and the
-checks, per file:
+With --ratios, the file is the per-PR perfbench ratio file (one JSON object
+per line, one line per PR) and the contracts are:
+  * each line has exactly the keys `pr` (an integer >= 1) and `workloads`,
+    plus an optional `note` string;
+  * `pr` strictly increases from line to line;
+  * `workloads` maps workload names that BENCHMARK.json declares to
+    non-empty objects, which map metric names BENCHMARK.json declares to
+    exactly {n, ratios, median}: `n` pairs (an integer >= 1), the
+    change/parent `ratios` of those interleaved pairs (n positive numbers,
+    or null where only the median was recorded) and their `median`
+    (positive, and equal to the median of `ratios` when they are listed).
+
+Without --sweep/--provenance/--ratios, each file is a BENCH_perf.json and
+the checks, per file:
   * the file parses as a single JSON object (the JsonObject line format);
   * every key perf_smoke promises is present with the right JSON type —
     a rename or dropped field in the emitter fails here, not in a
@@ -71,6 +84,7 @@ No third-party imports — runs on a bare python3.
 
 import json
 import math
+import os
 import sys
 
 # key -> allowed JSON types (json module mapping: bool before int matters,
@@ -477,6 +491,120 @@ def check_sweep_file(path):
     return ok
 
 
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "BENCHMARK.json")
+RATIO_ENTRY_KEYS = {"n", "ratios", "median"}
+
+
+def _positive_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0)
+
+
+def _median(values):
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def check_ratio_entry(path, lineno, where, entry):
+    if not isinstance(entry, dict) or set(entry) != RATIO_ENTRY_KEYS:
+        return _sweep_fail(path, lineno,
+                           f"{where}: expected exactly the keys n, ratios, "
+                           f"median, got {entry!r}")
+    n, ratios, median = entry["n"], entry["ratios"], entry["median"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        return _sweep_fail(path, lineno, f"{where}: n must be an integer >= 1")
+    if not _positive_number(median):
+        return _sweep_fail(path, lineno,
+                           f"{where}: median must be a positive number")
+    if ratios is None:
+        return True  # only the median was recorded for these pairs
+    if not isinstance(ratios, list) or len(ratios) != n:
+        return _sweep_fail(path, lineno,
+                           f"{where}: ratios must list n = {n} values")
+    if not all(_positive_number(r) for r in ratios):
+        return _sweep_fail(path, lineno,
+                           f"{where}: every ratio must be a positive number")
+    if abs(_median(ratios) - median) > 1e-9:
+        return _sweep_fail(path, lineno,
+                           f"{where}: median {median} != median of ratios "
+                           f"{_median(ratios)}")
+    return True
+
+
+def check_ratios_file(path):
+    try:
+        with open(BENCHMARK_JSON, "r", encoding="utf-8") as f:
+            benchmark = json.load(f)
+        workloads = {w["name"] for w in benchmark["workloads"]}
+        metrics = {m["name"]
+                   for section in ("end_to_end", "per_layer")
+                   for m in benchmark[section]}
+    except (OSError, KeyError, TypeError, json.JSONDecodeError) as e:
+        return fail(BENCHMARK_JSON, f"cannot read workload/metric names: {e}")
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except OSError as e:
+        return fail(path, f"not readable: {e}")
+    ok = True
+    last_pr = 0
+    entries = 0
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as e:
+            ok = _sweep_fail(path, lineno, f"not valid JSON: {e}")
+            continue
+        if not isinstance(doc, dict) or not {"pr", "workloads"} <= set(doc) \
+                or not set(doc) <= {"pr", "workloads", "note"}:
+            ok = _sweep_fail(path, lineno,
+                             "expected the keys pr and workloads (and "
+                             "optionally note)")
+            continue
+        pr = doc["pr"]
+        if not isinstance(pr, int) or isinstance(pr, bool) or pr < 1:
+            ok = _sweep_fail(path, lineno, "pr must be an integer >= 1")
+            continue
+        if pr <= last_pr:
+            ok = _sweep_fail(path, lineno,
+                             f"pr {pr} does not follow pr {last_pr}")
+        last_pr = max(last_pr, pr)
+        if "note" in doc and not isinstance(doc["note"], str):
+            ok = _sweep_fail(path, lineno, "note must be a string")
+        per_workload = doc["workloads"]
+        if not isinstance(per_workload, dict) or not per_workload:
+            ok = _sweep_fail(path, lineno, "workloads must be a non-empty object")
+            continue
+        for workload, per_metric in per_workload.items():
+            if workload not in workloads:
+                ok = _sweep_fail(path, lineno,
+                                 f"unknown workload {workload!r}")
+                continue
+            if not isinstance(per_metric, dict) or not per_metric:
+                ok = _sweep_fail(path, lineno,
+                                 f"{workload}: expected a non-empty object")
+                continue
+            for metric, entry in per_metric.items():
+                where = f"pr {pr} {workload} {metric}"
+                if metric not in metrics:
+                    ok = _sweep_fail(path, lineno,
+                                     f"{where}: unknown metric")
+                    continue
+                entries += 1
+                ok = check_ratio_entry(path, lineno, where, entry) and ok
+    if last_pr == 0:
+        ok = fail(path, "no PR lines — the file is empty")
+    if ok:
+        print(f"{path}: OK (last pr {last_pr}, {entries} ratio entries)")
+    return ok
+
+
 def main(argv):
     args = argv[1:]
     check = check_file
@@ -485,6 +613,9 @@ def main(argv):
         args = args[1:]
     elif args and args[0] == "--provenance":
         check = check_provenance_file
+        args = args[1:]
+    elif args and args[0] == "--ratios":
+        check = check_ratios_file
         args = args[1:]
     if not args:
         print(__doc__.strip(), file=sys.stderr)

@@ -17,10 +17,19 @@ cmake --build build
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
+# Every driver bench/CMakeLists.txt builds, in name order. The list is
+# explicit: a build tree configured before a driver was deleted still holds
+# the stale binary, and a glob over build/bench/ would run and log it as
+# current. A driver added to bench/CMakeLists.txt must be added here too.
+DRIVERS=(ablate_access_pattern ablate_cache_geometry ablate_corun
+         ablate_hw_prefetchers ablate_memory ablate_occupancy
+         ablate_replacement ablate_rp_sweep ablate_slice_helper
+         micro_substrate perf_smoke spf_sweep table1_machine
+         table2_benchmarks validate_shapes)
+
 {
-  for b in build/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    case "$b" in *.cmake) continue ;; esac
+  for name in "${DRIVERS[@]}"; do
+    b="build/bench/$name"
     # micro_substrate is a google-benchmark binary: it rejects unknown flags,
     # so it runs argument-free; everything else takes the bench_common knobs.
     # perf_smoke additionally writes the hot-path throughput record

@@ -203,9 +203,8 @@ class Cache {
                                Cycle now, std::uint32_t* slot_out = nullptr);
 
   /// fill() minus the already-present probe, for callers that have just
-  /// observed the miss with no intervening fill (the simulator's private-L1
-  /// refill). Precondition: `line` is not present. Inline: this is the
-  /// simulator's per-L1-miss refill path.
+  /// observed the miss with no intervening fill. Precondition: `line` is not
+  /// present. Inline: fill() itself runs through it on every L2 install.
   std::optional<Eviction> fill_absent(LineAddr line, FillOrigin origin,
                                       CoreId /*core*/, Cycle now,
                                       std::uint32_t* slot_out = nullptr) {

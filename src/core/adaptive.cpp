@@ -93,7 +93,7 @@ std::string FeedbackDistanceController::to_string() const {
 
 AdaptiveRunResult ExperimentContext::run_adaptive(
     const TraceBuffer& main_trace, const SpExperimentConfig& base,
-    const AdaptiveConfig& adaptive) {
+    const AdaptiveConfig& adaptive, const L1HitBitmap* main_l1_hits) {
   if (const std::string problem = adaptive.validate(); !problem.empty()) {
     throw std::invalid_argument("invalid AdaptiveConfig: " + problem);
   }
@@ -173,7 +173,7 @@ AdaptiveRunResult ExperimentContext::run_adaptive(
     if (result.intervals == 0) {
       SpExperimentConfig cfg = base;
       cfg.params = params;
-      simulator_.start(cfg.sim, sp_streams(main_trace, cfg));
+      simulator_.start(cfg.sim, sp_streams(main_trace, cfg, main_l1_hits));
     } else {
       helper_feed_->cursor().retune(params);
     }

@@ -11,7 +11,8 @@ namespace spf {
 ExperimentContext::ExperimentContext() : simulator_(SimConfig{}, &arena_) {}
 
 SpRunSummary ExperimentContext::run_original(const TraceBuffer& main_trace,
-                                             const SpExperimentConfig& config) {
+                                             const SpExperimentConfig& config,
+                                             const L1HitBitmap* main_l1_hits) {
   SPF_SPAN("replay");
   telemetry::count(telemetry::Counter::kBaselineRuns);
   telemetry::count(telemetry::Counter::kReplayRecords, main_trace.size());
@@ -19,13 +20,14 @@ SpRunSummary ExperimentContext::run_original(const TraceBuffer& main_trace,
   sim.hw_prefetch = config.baseline_hw_prefetch;
   const SimResult result = simulator_.run(
       sim, {CoreStream{.trace = &main_trace, .origin = FillOrigin::kDemand,
-                       .sync = std::nullopt}});
+                       .sync = std::nullopt, .l1_hits = main_l1_hits}});
   telemetry::gauge_max(telemetry::Gauge::kArenaBytesMax, arena_.bytes_served());
   return SpRunSummary::from(result);
 }
 
 std::vector<CoreStream> ExperimentContext::sp_streams(
-    const TraceBuffer& main_trace, const SpExperimentConfig& config) {
+    const TraceBuffer& main_trace, const SpExperimentConfig& config,
+    const L1HitBitmap* main_l1_hits) {
   // The helper core pulls its records through a HelperViewCursor window
   // *during* replay, so helper synthesis is part of the replay and no helper
   // trace is ever stored. Round-labelled records gate with round_iters = 1.
@@ -33,19 +35,20 @@ std::vector<CoreStream> ExperimentContext::sp_streams(
       main_trace, config.params, config.helper));
   return {
       CoreStream{.trace = &main_trace, .origin = FillOrigin::kDemand,
-                 .sync = std::nullopt},
+                 .sync = std::nullopt, .l1_hits = main_l1_hits},
       CoreStream{.source = &*helper_feed_, .origin = FillOrigin::kHelper,
                  .sync = RoundSync{.leader = 0, .round_iters = 1}},
   };
 }
 
 SpRunSummary ExperimentContext::run_sp_once(const TraceBuffer& main_trace,
-                                            const SpExperimentConfig& config) {
+                                            const SpExperimentConfig& config,
+                                            const L1HitBitmap* main_l1_hits) {
   SPF_SPAN("replay");
   telemetry::count(telemetry::Counter::kReplayRuns);
   telemetry::count(telemetry::Counter::kReplayRecords, main_trace.size());
-  const SimResult result =
-      simulator_.run(config.sim, sp_streams(main_trace, config));
+  const SimResult result = simulator_.run(
+      config.sim, sp_streams(main_trace, config, main_l1_hits));
   telemetry::count(telemetry::Counter::kHelperRecords,
                    helper_feed_->records_served());
   telemetry::gauge_max(telemetry::Gauge::kArenaBytesMax, arena_.bytes_served());

@@ -41,6 +41,7 @@
 #include "spf/core/adaptive.hpp"
 #include "spf/core/experiment.hpp"
 #include "spf/core/helper_gen.hpp"
+#include "spf/sim/l1_hits.hpp"
 #include "spf/sim/simulator.hpp"
 #include "spf/trace/trace.hpp"
 #include "spf/trace/trace_cursor.hpp"
@@ -56,13 +57,21 @@ class ExperimentContext {
   ExperimentContext(const ExperimentContext&) = delete;
   ExperimentContext& operator=(const ExperimentContext&) = delete;
 
+  // `main_l1_hits`, when given, is main_trace's precomputed L1 outcome
+  // (L1HitBitmap::compute at config.sim.l1): the main core reads it instead
+  // of keeping a live L1, with identical results. It must match main_trace's
+  // size and config.sim.l1, or the run throws std::invalid_argument. The
+  // helper core always keeps a live L1.
+
   /// Just the original (baseline) run. Identical to spf::run_original.
   SpRunSummary run_original(const TraceBuffer& main_trace,
-                            const SpExperimentConfig& config);
+                            const SpExperimentConfig& config,
+                            const L1HitBitmap* main_l1_hits = nullptr);
 
   /// Just the SP run (no baseline). Identical to spf::run_sp_once.
   SpRunSummary run_sp_once(const TraceBuffer& main_trace,
-                           const SpExperimentConfig& config);
+                           const SpExperimentConfig& config,
+                           const L1HitBitmap* main_l1_hits = nullptr);
 
   /// Original + SP runs. Identical to spf::run_sp_experiment.
   SpComparison run_comparison(const TraceBuffer& main_trace,
@@ -77,9 +86,10 @@ class ExperimentContext {
   /// Identical to spf::run_adaptive_experiment; see docs/adaptive.md.
   AdaptiveRunResult run_adaptive(const TraceBuffer& main_trace,
                                  const SpExperimentConfig& base,
-                                 const AdaptiveConfig& adaptive);
+                                 const AdaptiveConfig& adaptive,
+                                 const L1HitBitmap* main_l1_hits = nullptr);
 
-  /// Bytes the simulator's cache arrays have drawn from the context arena
+  /// Bytes the simulator's L2 arrays have drawn from the context arena
   /// (monotone; storage is reused, so repeat runs stop growing it).
   [[nodiscard]] std::size_t arena_bytes() const noexcept {
     return arena_.bytes_served();
@@ -96,7 +106,8 @@ class ExperimentContext {
   /// An SP run's streams: the main trace on core 0 and, gated on it, the
   /// helper feed rebuilt over `main_trace` on core 1.
   std::vector<CoreStream> sp_streams(const TraceBuffer& main_trace,
-                                     const SpExperimentConfig& config);
+                                     const SpExperimentConfig& config,
+                                     const L1HitBitmap* main_l1_hits);
 
   Arena arena_;
   CmpSimulator simulator_;

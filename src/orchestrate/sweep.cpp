@@ -10,6 +10,7 @@
 #include "spf/common/jsonl.hpp"
 #include "spf/core/experiment_context.hpp"
 #include "spf/core/sp_params.hpp"
+#include "spf/sim/l1_hits.hpp"
 #include "spf/telemetry/telemetry.hpp"
 
 namespace spf::orchestrate {
@@ -126,13 +127,19 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
   // Phase 1: resolve each workload's trace (one job per workload). Keyed
   // workloads go through the pool's memo — emitted at most once per key for
   // the pool's lifetime; unkeyed ones emit here. Either way the shared_ptr
-  // is the single copy every plane and cell reads from.
+  // is the single copy every plane and cell reads from. The same job
+  // computes the trace's main-core L1 outcome, which depends on the trace
+  // alone, so the baseline and every cell of every plane read one bitmap
+  // instead of replaying the L1 each. The bitmaps live for this call only.
   std::vector<std::shared_ptr<const TraceSource>> sources(n_workloads);
+  std::vector<L1HitBitmap> l1_hits(n_workloads);
   const auto trace_outcomes =
       run_indexed(n_workloads, threads, [&](std::size_t w) {
         SPF_SPAN("trace-materialize", "workload", w);
         sources[w] =
             contexts.trace_for(spec.workloads[w].memo_key, spec.workloads[w].make);
+        l1_hits[w] =
+            L1HitBitmap::compute(sources[w]->trace, SpExperimentConfig{}.sim.l1);
       });
 
   // Planes and cells of a keyed workload re-fetch the source through the
@@ -168,7 +175,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         cfg.sim.l2 = spec.geometries[g];
         cfg.sim.provenance = spec.provenance;
         cfg.baseline_hw_prefetch = spec.baseline_hw_prefetch;
-        plane.baseline = contexts.acquire()->run_original(src.trace, cfg);
+        plane.baseline =
+            contexts.acquire()->run_original(src.trace, cfg, &l1_hits[w]);
       });
 
   // Phase 3: expand the grid in fixed nested order. Cells of a failed plane
@@ -225,8 +233,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         }
         if (opts.cell_hook) opts.cell_hook(cell);
         const std::size_t p = cell_plane[i];
-        const std::shared_ptr<const TraceSource> src_ptr =
-            source_for(p / n_geoms);
+        const std::size_t w = p / n_geoms;
+        const std::shared_ptr<const TraceSource> src_ptr = source_for(w);
         const TraceSource& src = *src_ptr;
         SpExperimentConfig cfg;
         cfg.sim.l2 = cell.l2;
@@ -239,7 +247,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         cmp.original = planes[p].baseline;
         if (cell.controller == ControllerKind::kStatic) {
           cfg.params = SpParams::from_distance_rp(cell.distance, cell.rp);
-          cmp.sp = contexts.acquire()->run_sp_once(src.trace, cfg);
+          cmp.sp =
+              contexts.acquire()->run_sp_once(src.trace, cfg, &l1_hits[w]);
         } else {
           // Adaptive cells leave cfg.params default — run_adaptive derives
           // SpParams per interval from the controller's distance walk.
@@ -252,8 +261,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
                 acfg.min_distance,
                 std::min(acfg.max_distance, cell.bound_upper));
           }
-          const AdaptiveRunResult run =
-              contexts.acquire()->run_adaptive(src.trace, cfg, acfg);
+          const AdaptiveRunResult run = contexts.acquire()->run_adaptive(
+              src.trace, cfg, acfg, &l1_hits[w]);
           cmp.sp = run.aggregate;
           AdaptiveCellStats stats;
           stats.trajectory = run.distance_trajectory;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "spf/cache/cache.hpp"
+#include "spf/cache/lru_stack.hpp"
 
 namespace spf {
 
@@ -16,7 +17,7 @@ std::string CalrEstimate::to_string() const {
 
 CalrEstimate estimate_calr(const TraceBuffer& trace, const CalrConfig& config) {
   CalrEstimate est;
-  Cache l1(config.l1, ReplacementKind::kLru);
+  LruStack l1(config.l1);  // references fill on a miss
   Cache l2(config.l2, ReplacementKind::kLru);
 
   for (const TraceRecord& r : trace) {
@@ -25,7 +26,7 @@ CalrEstimate estimate_calr(const TraceBuffer& trace, const CalrConfig& config) {
 
     const LineAddr l1_line = config.l1.line_of(r.addr);
     const LineAddr l2_line = config.l2.line_of(r.addr);
-    if (l1.access(l1_line, r.kind(), 0)) {
+    if (l1.access(l1_line)) {
       ++est.l1_hits;
       est.access_cycles += config.l1_latency;
       continue;
@@ -38,7 +39,6 @@ CalrEstimate estimate_calr(const TraceBuffer& trace, const CalrConfig& config) {
       est.access_cycles += config.memory_latency;
       l2.fill(l2_line, FillOrigin::kDemand, 0, 0);
     }
-    l1.fill(l1_line, FillOrigin::kDemand, 0, 0);
   }
 
   est.calr = est.access_cycles

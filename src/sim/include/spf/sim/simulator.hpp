@@ -30,11 +30,13 @@
 #include <vector>
 
 #include "spf/cache/cache.hpp"
+#include "spf/cache/lru_stack.hpp"
 #include "spf/common/arena.hpp"
 #include "spf/memsys/memory.hpp"
 #include "spf/mshr/mshr.hpp"
 #include "spf/prefetch/core_prefetchers.hpp"
 #include "spf/sim/config.hpp"
+#include "spf/sim/l1_hits.hpp"
 #include "spf/sim/pollution.hpp"
 #include "spf/sim/provenance.hpp"
 #include "spf/sim/result.hpp"
@@ -62,11 +64,17 @@ struct CoreStream {
   FillOrigin origin = FillOrigin::kDemand;
   /// Round-gated staggering against a leader core (SP helper threads).
   std::optional<RoundSync> sync;
+  /// Precomputed L1 outcome of `trace` (spf/sim/l1_hits.hpp). When set, the
+  /// core reads record i's L1 hit bit instead of keeping a live L1; results
+  /// are identical. Requires a trace-backed stream (no `source`), a bitmap
+  /// of the trace's size and the run's SimConfig::l1 geometry — the run
+  /// throws std::invalid_argument otherwise. Must outlive the run.
+  const L1HitBitmap* l1_hits = nullptr;
 };
 
 class CmpSimulator {
  public:
-  /// `arena`, when non-null, backs the cache arrays of every run; it must
+  /// `arena`, when non-null, backs the shared L2 arrays of every run; it must
   /// outlive the simulator. ExperimentContext passes its per-context arena
   /// here so cell construction under sweep fan-out stays off the global heap.
   explicit CmpSimulator(const SimConfig& config, Arena* arena = nullptr);
@@ -125,11 +133,13 @@ class CmpSimulator {
     FillOrigin origin = FillOrigin::kDemand;
     std::optional<RoundSync> sync;
     bool was_gated = false;
-    /// Private L1, by value (optional only because CoreState must be
-    /// default-constructible before reset() configures it). Kept alive across
-    /// runs so reset_to() can reuse its storage.
-    std::optional<Cache> l1;
-    /// Per-core hw prefetcher pair, held by value (same optional rationale).
+    /// Private L1: a tag-only LRU stack, kept across runs so reset() reuses
+    /// its storage. Untouched when `l1_hits` supplies the outcomes.
+    LruStack l1;
+    /// The stream's precomputed L1 outcomes, or null for a live L1.
+    const L1HitBitmap* l1_hits = nullptr;
+    /// Per-core hw prefetcher pair, held by value (optional only because
+    /// CoreState must be default-constructible before reset() configures it).
     std::optional<CorePrefetchers> prefetcher;
     ThreadMetrics metrics;
     // Scheduler/gating memoization (pure caches of values derivable from the
@@ -189,8 +199,9 @@ class CmpSimulator {
   void step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
                   bool leader_sensitive);
   /// Demand path for one record; returns the completion time of the access.
+  /// `record` is the record's index in its stream (read only with l1_hits).
   Cycle demand_access(CoreState& core, CoreId id, const TraceRecord& rec,
-                      Cycle start);
+                      std::size_t record, Cycle start);
   /// Software-prefetch path (non-binding, never stalls the core).
   Cycle software_prefetch(CoreState& core, CoreId id, const TraceRecord& rec,
                           Cycle start);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "spf/common/assert.hpp"
@@ -54,6 +56,29 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
   SPF_ASSERT(!streams.empty(), "simulator needs at least one stream");
   SPF_ASSERT(streams.size() <= kMaxStreams,
              "simulator supports at most 64 streams");
+  // Checked before any state changes, so a rejected run leaves the
+  // simulator as reusable as a finished one.
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    const L1HitBitmap* hits = streams[i].l1_hits;
+    if (hits == nullptr) continue;
+    const std::string core = "core " + std::to_string(i);
+    if (streams[i].trace == nullptr || streams[i].source != nullptr) {
+      throw std::invalid_argument(core +
+                                  ": an L1 hit bitmap needs a trace-backed "
+                                  "stream");
+    }
+    if (hits->size() != streams[i].trace->size()) {
+      throw std::invalid_argument(
+          core + ": L1 hit bitmap covers " + std::to_string(hits->size()) +
+          " records, its trace has " +
+          std::to_string(streams[i].trace->size()));
+    }
+    if (hits->l1() != config_.l1) {
+      throw std::invalid_argument(core + ": L1 hit bitmap was computed for " +
+                                  hits->l1().to_string() + ", the run's L1 is " +
+                                  config_.l1.to_string());
+    }
+  }
   if (l2_) {
     l2_->reset_to(config_.l2, config_.replacement, config_.seed);
   } else {
@@ -114,12 +139,8 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
     core.win_pos = 0;
     core.clock = 0;
     core.metrics = ThreadMetrics{};
-    if (core.l1) {
-      core.l1->reset_to(config_.l1, ReplacementKind::kLru, config_.seed + i);
-    } else {
-      core.l1.emplace(config_.l1, ReplacementKind::kLru, config_.seed + i,
-                      arena_);
-    }
+    core.l1_hits = streams[i].l1_hits;
+    if (core.l1_hits == nullptr) core.l1.reset(config_.l1);
     core.prefetcher.emplace(config_.l2.line_bytes());
     core.outer_iter = 0;
     core.started = false;
@@ -304,6 +325,7 @@ void CmpSimulator::step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
         next_occupancy_sample_ += config_.occupancy_sample_interval;
       }
     }
+    const std::size_t record = core.win_pos;  // trace index when trace-backed
     const TraceRecord rec = feed_consume(core);
     // A gated follower re-examines this core's progress whenever its outer
     // iteration advances or it takes its very first record; the batch must
@@ -320,7 +342,7 @@ void CmpSimulator::step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
     if (rec.kind() == AccessKind::kPrefetch) {
       core.clock = software_prefetch(core, id, rec, start);
     } else {
-      core.clock = demand_access(core, id, rec, start);
+      core.clock = demand_access(core, id, rec, record, start);
     }
     if (feed_done(core)) return;
     core.next_time = core.clock + feed_pending(core).compute_gap;
@@ -368,9 +390,16 @@ void CmpSimulator::drain_l2(Cycle now) {
 }
 
 Cycle CmpSimulator::demand_access(CoreState& core, CoreId id,
-                                  const TraceRecord& rec, Cycle start) {
+                                  const TraceRecord& rec, std::size_t record,
+                                  Cycle start) {
   ++core.metrics.demand_accesses;
-  if (core.l1->access(config_.l1.line_of(rec.addr), rec.kind(), start)) {
+  // The live L1 refills on the miss itself rather than when the data
+  // returns: it is private, time-blind and only this core's next record
+  // reads it, so the hit/miss sequence is the same.
+  const bool l1_hit = core.l1_hits != nullptr
+                          ? core.l1_hits->hit(record)
+                          : core.l1.access(config_.l1.line_of(rec.addr));
+  if (l1_hit) {
     ++core.metrics.l1_hits;
     return start + config_.l1_latency;
   }
@@ -453,15 +482,6 @@ Cycle CmpSimulator::demand_access(CoreState& core, CoreId id,
     if (rec.kind() == AccessKind::kWrite) mshr_->mark_write(line);
     done = fill_time + config_.l2_latency;
     core.metrics.stall_cycles += done - t;
-  }
-
-  // L1 fill happens when the data returns; origin tag is per-core. The line
-  // provably missed L1 above and nothing else fills this private L1, so the
-  // already-present probe is skipped.
-  if (auto l1_evicted = core.l1->fill_absent(config_.l1.line_of(rec.addr),
-                                             FillOrigin::kDemand, id, done)) {
-    // Private-L1 evictions are not shared-cache pollution; drop them.
-    (void)l1_evicted;
   }
 
   issue_hw_prefetches(core, id, rec, was_l2_miss, t);

@@ -1,7 +1,9 @@
 // Shared helpers for the simulator differential suites: full-field equality
-// over SimResult, used to pin the simulator bit-identical to the
-// record-at-a-time oracle in tests/replay_oracle.hpp
-// (replay_differential_test.cpp, sim_stream_differential_test.cpp).
+// over SimResult, SpRunSummary and AdaptiveRunResult, used to pin the
+// simulator bit-identical to the record-at-a-time oracle in
+// tests/replay_oracle.hpp (replay_differential_test.cpp,
+// sim_stream_differential_test.cpp, adaptive_property_test.cpp) and to its
+// precomputed-L1 path (l1_hits_test.cpp).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -9,6 +11,8 @@
 #include <cstddef>
 #include <string>
 
+#include "spf/core/adaptive.hpp"
+#include "spf/core/experiment.hpp"
 #include "spf/sim/result.hpp"
 
 namespace spf::test {
@@ -84,6 +88,62 @@ inline void expect_same_result(const SimResult& a, const SimResult& b) {
     EXPECT_EQ(x.hw_used, y.hw_used);
     EXPECT_EQ(x.hw_unused, y.hw_unused);
   }
+}
+
+inline void expect_same_summary(const SpRunSummary& got,
+                                const SpRunSummary& want) {
+  EXPECT_EQ(got.runtime, want.runtime);
+  EXPECT_EQ(got.l2_lookups, want.l2_lookups);
+  EXPECT_EQ(got.totally_hits, want.totally_hits);
+  EXPECT_EQ(got.partially_hits, want.partially_hits);
+  EXPECT_EQ(got.totally_misses, want.totally_misses);
+  EXPECT_EQ(got.memory_requests, want.memory_requests);
+  EXPECT_EQ(got.helper_finish, want.helper_finish);
+  EXPECT_EQ(got.pollution.case1_reuse_displaced,
+            want.pollution.case1_reuse_displaced);
+  EXPECT_EQ(got.pollution.case2_helper_displaced,
+            want.pollution.case2_helper_displaced);
+  EXPECT_EQ(got.pollution.case3_hw_displaced,
+            want.pollution.case3_hw_displaced);
+  EXPECT_EQ(got.pollution.prefetch_caused_evictions,
+            want.pollution.prefetch_caused_evictions);
+  EXPECT_EQ(got.pollution.total_evictions, want.pollution.total_evictions);
+  const ProvenanceSummary& a = got.provenance;
+  const ProvenanceSummary& b = want.provenance;
+  EXPECT_EQ(a.enabled, b.enabled);
+  EXPECT_EQ(a.tracked_fills, b.tracked_fills);
+  EXPECT_EQ(a.helper_fills, b.helper_fills);
+  EXPECT_EQ(a.hardware_fills, b.hardware_fills);
+  EXPECT_EQ(a.used_timely, b.used_timely);
+  EXPECT_EQ(a.used_late, b.used_late);
+  EXPECT_EQ(a.evicted_unused, b.evicted_unused);
+  EXPECT_EQ(a.polluting, b.polluting);
+  EXPECT_EQ(a.resident_unused, b.resident_unused);
+  EXPECT_EQ(a.reuse_confirms, b.reuse_confirms);
+  EXPECT_EQ(a.late_pollution_confirms, b.late_pollution_confirms);
+  EXPECT_EQ(a.fill_to_use_total, b.fill_to_use_total);
+  EXPECT_EQ(a.polluted_sets, b.polluted_sets);
+  EXPECT_EQ(a.fill_to_use, b.fill_to_use);
+  EXPECT_EQ(a.victim_reuse, b.victim_reuse);
+  EXPECT_EQ(a.set_heatmap, b.set_heatmap);
+}
+
+inline void expect_identical(const AdaptiveRunResult& got,
+                             const AdaptiveRunResult& want) {
+  EXPECT_EQ(got.intervals, want.intervals);
+  EXPECT_EQ(got.distance_trajectory, want.distance_trajectory);
+  EXPECT_EQ(got.initial_distance, want.initial_distance);
+  EXPECT_EQ(got.increases, want.increases);
+  EXPECT_EQ(got.decreases, want.decreases);
+  ASSERT_EQ(got.reclamps.size(), want.reclamps.size());
+  for (std::size_t i = 0; i < got.reclamps.size(); ++i) {
+    SCOPED_TRACE("reclamp " + std::to_string(i));
+    EXPECT_EQ(got.reclamps[i].interval, want.reclamps[i].interval);
+    EXPECT_EQ(got.reclamps[i].phase, want.reclamps[i].phase);
+    EXPECT_EQ(got.reclamps[i].cap, want.reclamps[i].cap);
+    EXPECT_EQ(got.reclamps[i].distance_after, want.reclamps[i].distance_after);
+  }
+  expect_same_summary(got.aggregate, want.aggregate);
 }
 
 }  // namespace spf::test
