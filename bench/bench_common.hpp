@@ -17,13 +17,11 @@
 //                      https://ui.perfetto.dev; see docs/telemetry.md)
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -58,7 +56,9 @@ struct Scale {
 // Every driver shares these: a malformed numeric value ("abc", "4x",
 // overflow, negative where unsigned is expected) is a usage error — exit 2
 // with a message — instead of silently parsing as 0 (CliFlags::get_int) or
-// throwing an unhandled std::invalid_argument.
+// throwing an unhandled std::invalid_argument. The whole-token parses
+// themselves (spf::parse_u64, parse_u32, parse_double) live in
+// spf/common/cli.hpp, shared with the examples.
 
 /// Exits 2 with `msg` plus the common-flag usage line.
 [[noreturn]] inline void usage_error(const std::string& msg) {
@@ -70,47 +70,12 @@ struct Scale {
   std::exit(2);
 }
 
-/// Whole-token unsigned parse; rejects sign, trailing junk, and overflow.
-inline bool parse_u64(const std::string& s, std::uint64_t& out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0' || s[0] == '-') {
-    return false;
-  }
-  out = v;
-  return true;
-}
-
-inline bool parse_u32(const std::string& s, std::uint32_t& out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(s, v) || v > std::numeric_limits<std::uint32_t>::max()) {
-    return false;
-  }
-  out = static_cast<std::uint32_t>(v);
-  return true;
-}
-
-/// Whole-token double parse; rejects trailing junk and out-of-range values.
-inline bool parse_double(const std::string& s, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
 /// Strict accessor: `--name=<unsigned>` or the default; usage error otherwise.
 inline std::uint64_t require_uint(const CliFlags& flags, const std::string& name,
                                   std::uint64_t def) {
-  const std::string raw = flags.get(name, "");
-  if (raw.empty() && !flags.has(name)) return def;
-  std::uint64_t v = 0;
-  if (!parse_u64(raw, v)) {
-    usage_error("bad --" + name + " value '" + raw + "' (want unsigned int)");
-  }
-  return v;
+  if (const auto v = flags.get_uint(name, def)) return *v;
+  usage_error("bad --" + name + " value '" + flags.get(name, "") +
+              "' (want unsigned int)");
 }
 
 /// Strict accessor: bare `--name`, `--name=<bool>`, or the default.

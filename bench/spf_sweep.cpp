@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
   spec.adaptive.interval_iters = kAdaptiveIntervalIters;
   for (const auto& d : split(flags.get("distances", ""), ',')) {
     std::uint32_t dist = 0;
-    if (!bench::parse_u32(d, dist)) {
+    if (!parse_u32(d, dist)) {
       std::cerr << "bad --distances value '" << d << "' (want unsigned int)\n";
       return 2;
     }
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   spec.rps.clear();
   for (const auto& r : split(flags.get("rps", "0.5"), ',')) {
     double rp = 0.0;
-    if (!bench::parse_double(r, rp)) {
+    if (!parse_double(r, rp)) {
       std::cerr << "bad --rps value '" << r << "' (want number)\n";
       return 2;
     }
@@ -186,8 +186,8 @@ int main(int argc, char** argv) {
       std::uint64_t bytes = 0;
       std::uint32_t ways = 0;
       std::uint32_t line = 0;
-      if (parts.size() != 3 || !bench::parse_u64(parts[0], bytes) ||
-          !bench::parse_u32(parts[1], ways) || !bench::parse_u32(parts[2], line)) {
+      if (parts.size() != 3 || !parse_u64(parts[0], bytes) ||
+          !parse_u32(parts[1], ways) || !parse_u32(parts[2], line)) {
         std::cerr << "bad geometry '" << g << "' (want bytes:ways:line)\n";
         return 2;
       }

@@ -23,13 +23,13 @@ int main(int argc, char** argv) {
   using namespace spf;
   CliFlags flags(argc, argv);
   Em3dConfig config;
-  config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 20000));
-  config.arity = static_cast<std::uint32_t>(flags.get_int("arity", 64));
+  config.nodes = examples::require_u32(flags, "nodes", 20000);
+  config.arity = examples::require_u32(flags, "arity", 64);
   config.passes = 1;
   const CacheGeometry l2 = examples::l2_from_flags(flags);
+  const Em3dWorkload workload = examples::em3d_from_flags(config);
 
   std::cout << "== EM3D prefetch-distance tuning walkthrough ==\n\n";
-  Em3dWorkload workload(config);
   const TraceBuffer trace = workload.emit_trace();
   std::cout << "[1] traced hot loop: " << trace.size() << " accesses, "
             << workload.outer_iterations() << " outer iterations\n";

@@ -10,8 +10,10 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <vector>
 
+#include "example_flags.hpp"
 #include "spf/common/cli.hpp"
 #include "spf/core/sp_params.hpp"
 #include "spf/runtime/executor.hpp"
@@ -23,12 +25,13 @@ int main(int argc, char** argv) {
   using namespace spf;
   CliFlags flags(argc, argv);
   Em3dConfig config;
-  config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 100000));
-  config.arity = static_cast<std::uint32_t>(flags.get_int("arity", 16));
+  config.nodes = examples::require_u32(flags, "nodes", 100000);
+  config.arity = examples::require_u32(flags, "arity", 16);
   config.passes = 1;
-  const auto distance =
-      static_cast<std::uint32_t>(flags.get_int("distance", 32));
-  const int reps = static_cast<int>(flags.get_int("reps", 3));
+  const std::uint32_t distance = examples::require_u32(flags, "distance", 32);
+  const auto reps = static_cast<int>(
+      examples::require_uint(flags, "reps", 3, std::numeric_limits<int>::max()));
+  const Em3dWorkload model = examples::em3d_from_flags(config);
 
   std::cout << "== Native-thread SP demo (EM3D, " << config.nodes
             << " nodes x arity " << config.arity << ") ==\n"
@@ -41,7 +44,6 @@ int main(int argc, char** argv) {
     std::cout << " (single CPU: correctness demo only, no speedup expected)\n";
   }
 
-  Em3dWorkload model(config);
   const SpParams params = SpParams::from_distance_rp(distance, 0.5);
   std::cout << "params: " << params.to_string() << "\n\n";
 

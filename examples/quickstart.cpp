@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "example_flags.hpp"
 #include "spf/common/cli.hpp"
 #include "spf/core/distance_bound.hpp"
 #include "spf/core/experiment_context.hpp"
@@ -19,9 +20,13 @@
 int main(int argc, char** argv) {
   spf::CliFlags flags(argc, argv);
   spf::Em3dConfig config;
-  config.nodes = static_cast<std::uint32_t>(flags.get_int("nodes", 20000));
-  config.arity = static_cast<std::uint32_t>(flags.get_int("arity", 64));
+  config.nodes = spf::examples::require_u32(flags, "nodes", 20000);
+  config.arity = spf::examples::require_u32(flags, "arity", 64);
   config.passes = 2;
+  // 0 stands for the default, half the distance bound computed below.
+  const std::uint32_t distance_flag =
+      spf::examples::require_u32(flags, "distance", 0);
+  const spf::Em3dWorkload workload = spf::examples::em3d_from_flags(config);
 
   // A smaller L2 keeps the demo fast while preserving the paper's geometry
   // ratios (16-way, 64 B lines).
@@ -31,8 +36,7 @@ int main(int argc, char** argv) {
   std::cout << "== Skip helper-threaded Prefetching quickstart (EM3D) ==\n";
   std::cout << "L2: " << exp.sim.l2.to_string() << "\n\n";
 
-  // 1. Build + trace.
-  spf::Em3dWorkload workload(config);
+  // 1. Trace the workload built above.
   const spf::TraceBuffer trace = workload.emit_trace();
   std::cout << "trace: " << trace.size() << " accesses over "
             << workload.outer_iterations() << " outer iterations\n";
@@ -53,8 +57,8 @@ int main(int argc, char** argv) {
   // scratch are reused between runs (identical results to the free
   // spf::run_sp_experiment, without re-building the machine each time).
   spf::ExperimentContext ctx;
-  const auto good = static_cast<std::uint32_t>(
-      flags.get_int("distance", std::max(1u, bound.upper_limit / 2)));
+  const std::uint32_t good =
+      distance_flag != 0 ? distance_flag : std::max(1u, bound.upper_limit / 2);
   const std::uint32_t bad = bound.upper_limit * 6;
   for (std::uint32_t distance : {good, bad}) {
     exp.params = spf::SpParams::from_distance_rp(distance, rp);

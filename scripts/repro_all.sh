@@ -33,11 +33,12 @@ DRIVERS=(ablate_access_pattern ablate_cache_geometry ablate_corun
     # micro_substrate is a google-benchmark binary: it rejects unknown flags,
     # so it runs argument-free; everything else takes the bench_common knobs.
     # perf_smoke additionally writes the hot-path throughput record
-    # (BENCH_perf.json at the repo root) consumed by docs/simulator.md.
+    # (BENCH_perf.json at the repo root) consumed by docs/simulator.md, at the
+    # 15 reps the committed record was taken with (its default is 3).
     args="--threads=$THREADS"
     case "$b" in
       *micro_substrate) args="" ;;
-      *perf_smoke) args="--threads=$THREADS --out=BENCH_perf.json" ;;
+      *perf_smoke) args="--threads=$THREADS --reps=15 --out=BENCH_perf.json" ;;
     esac
     echo "=============================================================="
     echo "== $b${args:+ $args}"

@@ -65,14 +65,6 @@ std::optional<Eviction> Cache::fill(LineAddr line, FillOrigin origin,
   return fill_absent(line, origin, core, now, slot_out);
 }
 
-bool Cache::mark_dirty(LineAddr line) {
-  const std::uint64_t set = geometry_.set_of_line(line);
-  const std::uint32_t way = find_way(set, line);
-  if (way == kNoWay) return false;
-  meta_[set * geometry_.ways() + way] |= kDirtyBit;
-  return true;
-}
-
 bool Cache::invalidate(LineAddr line) {
   const std::uint64_t set = geometry_.set_of_line(line);
   const std::uint32_t way = find_way(set, line);

@@ -202,9 +202,10 @@ class Cache {
   std::optional<Eviction> fill(LineAddr line, FillOrigin origin, CoreId core,
                                Cycle now, std::uint32_t* slot_out = nullptr);
 
-  /// fill() minus the already-present probe, for callers that have just
-  /// observed the miss with no intervening fill. Precondition: `line` is not
-  /// present. Inline: fill() itself runs through it on every L2 install.
+  /// fill() minus the already-present probe, for callers that know the line
+  /// is absent: the simulator's L2 installs (a line with an outstanding MSHR
+  /// entry is never resident; see docs/simulator.md). Precondition: `line`
+  /// is not present. Inline: it runs on every L2 install.
   std::optional<Eviction> fill_absent(LineAddr line, FillOrigin origin,
                                       CoreId /*core*/, Cycle now,
                                       std::uint32_t* slot_out = nullptr) {
@@ -255,9 +256,16 @@ class Cache {
   /// Drop the line if present. Returns true if it was present.
   bool invalidate(LineAddr line);
 
-  /// Set the dirty bit without touching replacement state (write-allocate
-  /// installs). Returns false if the line is not present.
-  bool mark_dirty(LineAddr line);
+  /// Set the dirty bit of the line in `slot` without touching replacement
+  /// state (write-allocate installs mark the slot their fill reported).
+  /// Precondition: `slot` holds a valid line.
+  void mark_dirty_slot(std::uint32_t slot) noexcept {
+    SPF_DEBUG_ASSERT(
+        slot < meta_.size() &&
+            ((valid_[slot / geometry_.ways()] >> (slot % geometry_.ways())) & 1),
+        "mark_dirty_slot on an empty slot");
+    meta_[slot] |= kDirtyBit;
+  }
 
   /// Number of valid lines currently in `set`.
   [[nodiscard]] std::uint32_t set_occupancy(std::uint64_t set) const;

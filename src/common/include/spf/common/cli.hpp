@@ -5,10 +5,21 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace spf {
+
+// Whole-token parses for flag values: each returns false on an empty token,
+// trailing junk or a value out of range, where the C conversions would
+// silently stop at the first bad character or yield 0.
+
+/// Unsigned decimal; a sign is rejected too.
+[[nodiscard]] bool parse_u64(const std::string& s, std::uint64_t& out);
+/// parse_u64 narrowed to 32 bits: a larger value is out of range.
+[[nodiscard]] bool parse_u32(const std::string& s, std::uint32_t& out);
+[[nodiscard]] bool parse_double(const std::string& s, double& out);
 
 class CliFlags {
  public:
@@ -19,6 +30,12 @@ class CliFlags {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// Strict unsigned accessor: `def` when the flag is absent, its value when
+  /// that parses as one whole unsigned token (parse_u64), nullopt when it
+  /// does not (`--n`, `--n=`, `--n=abc`, `--n=-1`, `--n=4x`, overflow).
+  /// get_int instead maps a malformed value to 0.
+  [[nodiscard]] std::optional<std::uint64_t> get_uint(const std::string& name,
+                                                      std::uint64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 

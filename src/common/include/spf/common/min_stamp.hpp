@@ -1,7 +1,7 @@
 // Branch-free oldest-stamp search over a small packed array.
 //
-// LRU-style victim choice (the cache's LRU and FIFO policies, the streamer's
-// tracker replacement) is "the lowest index holding the minimum stamp".
+// LRU-style victim choice (the cache's LRU and FIFO policies) is "the lowest
+// index holding the minimum stamp".
 // Stamps arrive in no predictable order, so a branchy scan mispredicts its
 // updates; this one carries the running minimum through selects instead.
 #pragma once

@@ -5,6 +5,8 @@
 // ("wastes precious bandwidth and limits the effectiveness of SP").
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "spf/mem/types.hpp"
@@ -54,12 +56,26 @@ class MemoryController {
 
   /// Issue a line fetch at time `now`; returns the completion (fill) time.
   /// Monotonic in issue order: each transfer starts no earlier than
-  /// `issue_interval` after the previous one started.
-  Cycle issue(Cycle now, FillOrigin origin);
+  /// `issue_interval` after the previous one started. Inline: it runs on
+  /// every L2 miss and prefetch issue.
+  Cycle issue(Cycle now, FillOrigin origin) noexcept {
+    const Cycle start = std::max(now, next_start_);
+    next_start_ = start + config_.issue_interval;
+    ++stats_.requests;
+    ++stats_.requests_by_origin[static_cast<std::size_t>(origin)];
+    stats_.total_queue_delay += start - now;
+    stats_.busy_cycles += config_.issue_interval;
+    return start + config_.service_latency;
+  }
 
   /// Queue a dirty-line writeback: occupies one channel slot (delaying later
   /// fills) but completes asynchronously — no one waits on it.
-  void writeback(Cycle now);
+  void writeback(Cycle now) noexcept {
+    const Cycle start = std::max(now, next_start_);
+    next_start_ = start + config_.issue_interval;
+    ++stats_.writebacks;
+    stats_.busy_cycles += config_.issue_interval;
+  }
 
   /// When the channel could start another transfer.
   [[nodiscard]] Cycle next_free() const noexcept { return next_start_; }

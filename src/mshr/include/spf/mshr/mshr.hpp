@@ -19,11 +19,15 @@
 // practice, and a drain pops a prefix that is already in completion order.
 #pragma once
 
+#include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
+#include "spf/common/assert.hpp"
 #include "spf/common/simd_match.hpp"
 #include "spf/mem/types.hpp"
 
@@ -74,21 +78,73 @@ class MshrFile {
     return i == kNotFound ? nullptr : &entries_[i];
   }
 
+  /// Outstanding lines, in completion order (a packed mirror of the
+  /// entries' lines).
+  [[nodiscard]] std::span<const LineAddr> lines() const noexcept {
+    return lines_;
+  }
+
+  // allocate, merge, mark_write and drain_completed_into run on the
+  // simulator's per-access path, so they are defined inline below.
+
   /// Allocate a new entry. Returns nullptr when the file is full (counted as
   /// a rejection; the caller decides whether to stall or drop).
   const MshrEntry* allocate(LineAddr line, Cycle issue, Cycle fill,
-                            FillOrigin origin, CoreId core);
+                            FillOrigin origin, CoreId core) {
+    SPF_DEBUG_ASSERT(find(line) == nullptr, "duplicate MSHR allocation");
+    SPF_DEBUG_ASSERT(fill >= issue, "fill before issue");
+    if (full()) {
+      ++stats_.full_rejections;
+      return nullptr;
+    }
+    // Insert after every entry filling no later: keeps (fill_time,
+    // allocation order). Fill times almost always arrive non-decreasing, so
+    // the entry is appended.
+    const MshrEntry entry{.line = line,
+                          .issue_time = issue,
+                          .fill_time = fill,
+                          .origin = origin,
+                          .core = core};
+    std::size_t at = entries_.size();
+    while (at > 0 && entries_[at - 1].fill_time > fill) --at;
+    if (at == entries_.size()) {
+      entries_.push_back(entry);
+      lines_.push_back(line);
+    } else {
+      const auto pos = static_cast<std::ptrdiff_t>(at);
+      entries_.insert(entries_.begin() + pos, entry);
+      lines_.insert(lines_.begin() + pos, line);
+    }
+    next_completion_ = entries_.front().fill_time;
+    ++stats_.allocations;
+    stats_.peak_occupancy =
+        std::max<std::uint64_t>(stats_.peak_occupancy, entries_.size());
+    return &entries_[at];
+  }
 
   /// Merge a secondary request into the outstanding entry for `line`.
   /// `demand_requester` must be true only for accesses by a main computation
   /// thread that are not prefetch instructions — only those upgrade a
   /// prefetch-initiated fill to wanted-by-processor. Pre: find(line) !=
   /// nullptr. Returns the (updated) entry.
-  const MshrEntry& merge(LineAddr line, bool demand_requester);
+  const MshrEntry& merge(LineAddr line, bool demand_requester) {
+    MshrEntry* e = find_mut(line);
+    SPF_ASSERT(e != nullptr, "merge into missing MSHR entry");
+    ++e->merged;
+    ++stats_.merges;
+    if (demand_requester && e->origin != FillOrigin::kDemand &&
+        !e->demand_merged) {
+      e->demand_merged = true;
+      ++stats_.demand_merges_into_prefetch;
+    }
+    return *e;
+  }
 
   /// Record that a store targets the outstanding line (write-allocate).
   /// No-op if the line has no entry.
-  void mark_write(LineAddr line);
+  void mark_write(LineAddr line) {
+    if (MshrEntry* e = find_mut(line)) e->write = true;
+  }
 
   /// Earliest outstanding completion time; Cycle max when empty. O(1): the
   /// fill time of the first (sorted) entry, cached because the simulator
@@ -104,7 +160,17 @@ class MshrFile {
 
   /// Allocation-free variant for the simulator hot path: clears `out` and
   /// fills it with the completed entries in completion order.
-  void drain_completed_into(Cycle now, std::vector<MshrEntry>& out);
+  void drain_completed_into(Cycle now, std::vector<MshrEntry>& out) {
+    // Completed entries are a prefix of the sorted file.
+    std::size_t done = 0;
+    while (done < entries_.size() && entries_[done].fill_time <= now) ++done;
+    const auto end = static_cast<std::ptrdiff_t>(done);
+    out.assign(entries_.begin(), entries_.begin() + end);
+    entries_.erase(entries_.begin(), entries_.begin() + end);
+    lines_.erase(lines_.begin(), lines_.begin() + end);
+    next_completion_ = entries_.empty() ? std::numeric_limits<Cycle>::max()
+                                        : entries_.front().fill_time;
+  }
 
   void clear() noexcept {
     entries_.clear();

@@ -25,6 +25,11 @@ namespace spf {
 /// per static load in the hot loop.
 using SiteId = std::uint32_t;
 
+/// Largest `degree` an engine accepts: the engines write at most `degree`
+/// candidates per observation, and their std::vector observe() wrappers
+/// collect them in a stack buffer of this many lines.
+inline constexpr std::uint32_t kMaxPrefetchDegree = 64;
+
 /// One observed demand access, as seen by a prefetcher.
 struct PrefetchObservation {
   Addr addr = 0;

@@ -16,6 +16,8 @@ StridePrefetcher::StridePrefetcher(const StrideConfig& config)
   SPF_ASSERT(std::has_single_bit(static_cast<std::uint64_t>(config.line_bytes)),
              "line size must be a power of two");
   SPF_ASSERT(config.threshold <= config.max_confidence, "threshold above saturation");
+  SPF_ASSERT(config.degree <= kMaxPrefetchDegree,
+             "degree exceeds the candidate buffer");
 }
 
 void StridePrefetcher::reset() {

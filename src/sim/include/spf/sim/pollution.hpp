@@ -80,13 +80,42 @@ class ShadowTable {
   /// work beyond one predictable branch per operation.
   void enable_aux();
 
+  // The probes run on the simulator's per-eviction and per-miss paths, so
+  // they are defined inline below.
+
   /// Insert `line`, overwriting the stored origin if already present. With
   /// aux enabled and `aux` non-null, the payload is stored alongside.
   void insert_or_assign(LineAddr line, FillOrigin origin,
-                        const ShadowAux* aux = nullptr);
+                        const ShadowAux* aux = nullptr) {
+    std::size_t i = home_of(line);
+    while (slots_[i].occupied) {
+      if (slots_[i].line == line) {
+        slots_[i].origin = origin;
+        if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
+        return;
+      }
+      i = (i + 1) & mask_;
+    }
+    slots_[i] = Slot{.line = line, .origin = origin, .occupied = true};
+    if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
+    ++size_;
+  }
+
   /// Remove `line` if present; returns true when it was. With aux enabled
   /// and `aux_out` non-null, the entry's payload is copied out first.
-  bool erase(LineAddr line, ShadowAux* aux_out = nullptr);
+  bool erase(LineAddr line, ShadowAux* aux_out = nullptr) {
+    std::size_t i = home_of(line);
+    while (slots_[i].occupied) {
+      if (slots_[i].line == line) {
+        if (aux_out != nullptr && !aux_.empty()) *aux_out = aux_[i];
+        erase_at(i);
+        --size_;
+        return true;
+      }
+      i = (i + 1) & mask_;
+    }
+    return false;
+  }
 
  private:
   struct Slot {
@@ -99,7 +128,27 @@ class ShadowTable {
     // Fibonacci multiply-shift onto the power-of-two table.
     return (line * 0x9E3779B97F4A7C15ull) & mask_;
   }
-  void erase_at(std::size_t hole);
+  void erase_at(std::size_t hole) {
+    // Backward-shift deletion: pull each displaced successor in the probe
+    // chain into the hole instead of leaving a tombstone.
+    slots_[hole].occupied = false;
+    std::size_t j = hole;
+    for (;;) {
+      j = (j + 1) & mask_;
+      if (!slots_[j].occupied) return;
+      const std::size_t home = home_of(slots_[j].line);
+      // The element at j may move into the hole only if its home position
+      // is not cyclically inside (hole, j] — otherwise probing would lose
+      // it.
+      const bool stays = hole <= j ? (hole < home && home <= j)
+                                   : (home <= j || home > hole);
+      if (stays) continue;
+      slots_[hole] = slots_[j];
+      if (!aux_.empty()) aux_[hole] = aux_[j];
+      slots_[j].occupied = false;
+      hole = j;
+    }
+  }
 
   std::vector<Slot> slots_;
   std::size_t mask_;
@@ -135,7 +184,12 @@ class PollutionTracker {
   /// Feed every *demand* L2 totally-miss here. Returns true when the miss is
   /// attributed to case-1 pollution (the line was recently displaced by a
   /// prefetch fill); `aux_out` then receives the confirmed entry's payload.
-  bool on_demand_miss(LineAddr line, ShadowAux* aux_out = nullptr);
+  bool on_demand_miss(LineAddr line, ShadowAux* aux_out = nullptr) {
+    if (!shadow_.erase(line, aux_out)) return false;
+    ++stats_.case1_reuse_displaced;
+    attribute(line);
+    return true;
+  }
 
   [[nodiscard]] const PollutionStats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t shadow_size() const noexcept { return shadow_.size(); }
@@ -156,8 +210,44 @@ class PollutionTracker {
   [[nodiscard]] std::uint64_t polluted_set_count() const;
 
  private:
-  void attribute(LineAddr line);
-  void on_eviction_impl(const Eviction& ev, const ShadowAux* aux);
+  // attribute and on_eviction_impl run per L2 eviction: defined inline.
+  void attribute(LineAddr line) { ++per_set_[geometry_.set_of_line(line)]; }
+
+  void on_eviction_impl(const Eviction& ev, const ShadowAux* aux) {
+    ++stats_.total_evictions;
+    const bool evictor_is_prefetch =
+        ev.replaced_by_origin == FillOrigin::kHelper ||
+        ev.replaced_by_origin == FillOrigin::kHardware;
+    if (!evictor_is_prefetch) {
+      // Demand fills can also displace useful data; that is ordinary
+      // capacity/conflict behaviour, not prefetch pollution. Drop any stale
+      // shadow for the victim so a later re-miss is not misattributed.
+      shadow_.erase(ev.victim.line);
+      return;
+    }
+    ++stats_.prefetch_caused_evictions;
+
+    const bool victim_unused_prefetch =
+        !ev.victim.used_since_fill && ev.victim.origin != FillOrigin::kDemand;
+    if (victim_unused_prefetch) {
+      if (ev.victim.origin == FillOrigin::kHelper) {
+        ++stats_.case2_helper_displaced;
+      } else {
+        ++stats_.case3_hw_displaced;
+      }
+      attribute(ev.victim.line);
+      return;
+    }
+
+    // Victim was useful data (demand-filled, or a prefetch the processor had
+    // already consumed). Whether it "will be reused" is only known when a
+    // later demand miss returns for it — shadow it.
+    LineAddr dropped = 0;
+    if (shadow_order_.push(ev.victim.line, &dropped)) {
+      shadow_.erase(dropped);
+    }
+    shadow_.insert_or_assign(ev.victim.line, ev.replaced_by_origin, aux);
+  }
 
   CacheGeometry geometry_;
   PollutionStats stats_;

@@ -32,6 +32,7 @@
 #include "spf/cache/cache.hpp"
 #include "spf/cache/lru_stack.hpp"
 #include "spf/common/arena.hpp"
+#include "spf/common/assert.hpp"
 #include "spf/memsys/memory.hpp"
 #include "spf/mshr/mshr.hpp"
 #include "spf/prefetch/core_prefetchers.hpp"
@@ -198,18 +199,23 @@ class CmpSimulator {
   /// limit_lo = 0 ends the batch after one record.
   void step_batch(CoreId id, Cycle limit_lo, Cycle limit_hi,
                   bool leader_sensitive);
+  // The per-record access paths. step_batch is their only caller, so they
+  // are forced inline into it (the batched loop and the oracle share it).
   /// Demand path for one record; returns the completion time of the access.
   /// `record` is the record's index in its stream (read only with l1_hits).
-  Cycle demand_access(CoreState& core, CoreId id, const TraceRecord& rec,
-                      std::size_t record, Cycle start);
+  SPF_ALWAYS_INLINE Cycle demand_access(CoreState& core, CoreId id,
+                                        const TraceRecord& rec,
+                                        std::size_t record, Cycle start);
   /// Software-prefetch path (non-binding, never stalls the core).
-  Cycle software_prefetch(CoreState& core, CoreId id, const TraceRecord& rec,
-                          Cycle start);
+  SPF_ALWAYS_INLINE Cycle software_prefetch(CoreState& core, CoreId id,
+                                            const TraceRecord& rec,
+                                            Cycle start);
   /// Install every completed fill with fill_time <= now into the L2.
   void drain_l2(Cycle now);
   /// Issue hardware-prefetch candidates produced by `core`'s prefetcher.
-  void issue_hw_prefetches(CoreState& core, CoreId id, const TraceRecord& rec,
-                           bool was_l2_miss, Cycle now);
+  SPF_ALWAYS_INLINE void issue_hw_prefetches(CoreState& core, CoreId id,
+                                             const TraceRecord& rec,
+                                             bool was_l2_miss, Cycle now);
 
   SimConfig config_;
   Arena* arena_ = nullptr;
@@ -227,7 +233,6 @@ class CmpSimulator {
   /// timing or replacement, so results are bit-identical either way.
   std::optional<ProvenanceTracker> provenance_;
   std::uint64_t hw_prefetches_issued_ = 0;
-  std::vector<LineAddr> pf_scratch_;
   std::vector<MshrEntry> drain_scratch_;
   OccupancySeries occupancy_;
   Cycle next_occupancy_sample_ = 0;

@@ -44,57 +44,6 @@ void ShadowTable::enable_aux() {
   aux_.assign(slots_.size(), ShadowAux{});
 }
 
-void ShadowTable::insert_or_assign(LineAddr line, FillOrigin origin,
-                                   const ShadowAux* aux) {
-  std::size_t i = home_of(line);
-  while (slots_[i].occupied) {
-    if (slots_[i].line == line) {
-      slots_[i].origin = origin;
-      if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
-      return;
-    }
-    i = (i + 1) & mask_;
-  }
-  slots_[i] = Slot{.line = line, .origin = origin, .occupied = true};
-  if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
-  ++size_;
-}
-
-bool ShadowTable::erase(LineAddr line, ShadowAux* aux_out) {
-  std::size_t i = home_of(line);
-  while (slots_[i].occupied) {
-    if (slots_[i].line == line) {
-      if (aux_out != nullptr && !aux_.empty()) *aux_out = aux_[i];
-      erase_at(i);
-      --size_;
-      return true;
-    }
-    i = (i + 1) & mask_;
-  }
-  return false;
-}
-
-void ShadowTable::erase_at(std::size_t hole) {
-  // Backward-shift deletion: pull each displaced successor in the probe
-  // chain into the hole instead of leaving a tombstone.
-  slots_[hole].occupied = false;
-  std::size_t j = hole;
-  for (;;) {
-    j = (j + 1) & mask_;
-    if (!slots_[j].occupied) return;
-    const std::size_t home = home_of(slots_[j].line);
-    // The element at j may move into the hole only if its home position is
-    // not cyclically inside (hole, j] — otherwise probing would lose it.
-    const bool stays = hole <= j ? (hole < home && home <= j)
-                                 : (home <= j || home > hole);
-    if (stays) continue;
-    slots_[hole] = slots_[j];
-    if (!aux_.empty()) aux_[hole] = aux_[j];
-    slots_[j].occupied = false;
-    hole = j;
-  }
-}
-
 PollutionTracker::PollutionTracker(std::uint32_t shadow_capacity,
                                    const CacheGeometry& geometry)
     : geometry_(geometry), shadow_order_(shadow_capacity),
@@ -107,10 +56,6 @@ void PollutionTracker::reset(std::uint32_t shadow_capacity,
   shadow_order_.reset(shadow_capacity);
   shadow_.reset(shadow_capacity);
   per_set_.assign(geometry.num_sets(), 0);
-}
-
-void PollutionTracker::attribute(LineAddr line) {
-  ++per_set_[geometry_.set_of_line(line)];
 }
 
 std::uint64_t PollutionTracker::set_pollution(std::uint64_t set) const {
@@ -137,49 +82,5 @@ std::uint64_t PollutionTracker::polluted_set_count() const {
 }
 
 void PollutionTracker::enable_shadow_aux() { shadow_.enable_aux(); }
-
-void PollutionTracker::on_eviction_impl(const Eviction& ev,
-                                        const ShadowAux* aux) {
-  ++stats_.total_evictions;
-  const bool evictor_is_prefetch =
-      ev.replaced_by_origin == FillOrigin::kHelper ||
-      ev.replaced_by_origin == FillOrigin::kHardware;
-  if (!evictor_is_prefetch) {
-    // Demand fills can also displace useful data; that is ordinary capacity/
-    // conflict behaviour, not prefetch pollution. Drop any stale shadow for
-    // the victim so a later re-miss is not misattributed.
-    shadow_.erase(ev.victim.line);
-    return;
-  }
-  ++stats_.prefetch_caused_evictions;
-
-  const bool victim_unused_prefetch = !ev.victim.used_since_fill &&
-                                      ev.victim.origin != FillOrigin::kDemand;
-  if (victim_unused_prefetch) {
-    if (ev.victim.origin == FillOrigin::kHelper) {
-      ++stats_.case2_helper_displaced;
-    } else {
-      ++stats_.case3_hw_displaced;
-    }
-    attribute(ev.victim.line);
-    return;
-  }
-
-  // Victim was useful data (demand-filled, or a prefetch the processor had
-  // already consumed). Whether it "will be reused" is only known when a later
-  // demand miss returns for it — shadow it.
-  LineAddr dropped = 0;
-  if (shadow_order_.push(ev.victim.line, &dropped)) {
-    shadow_.erase(dropped);
-  }
-  shadow_.insert_or_assign(ev.victim.line, ev.replaced_by_origin, aux);
-}
-
-bool PollutionTracker::on_demand_miss(LineAddr line, ShadowAux* aux_out) {
-  if (!shadow_.erase(line, aux_out)) return false;
-  ++stats_.case1_reuse_displaced;
-  attribute(line);
-  return true;
-}
 
 }  // namespace spf

@@ -58,6 +58,9 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
              "simulator supports at most 64 streams");
   // Checked before any state changes, so a rejected run leaves the
   // simulator as reusable as a finished one.
+  if (config_.l2_mshrs == 0) {
+    throw std::invalid_argument("l2_mshrs must be at least 1");
+  }
   for (std::size_t i = 0; i < streams.size(); ++i) {
     const L1HitBitmap* hits = streams[i].l1_hits;
     if (hits == nullptr) continue;
@@ -365,9 +368,13 @@ void CmpSimulator::drain_l2(Cycle now) {
     // cases 2/3.
     const FillOrigin origin =
         fill.demand_merged ? FillOrigin::kDemand : fill.origin;
+    // A line with an outstanding MSHR entry is never resident: lines enter
+    // the L2 only here, every issue path allocates only after the L2 and the
+    // MSHR file both missed, and the L2 is never invalidated. So the install
+    // skips fill()'s already-present scan.
     std::uint32_t slot = Cache::kNoSlot;
-    if (auto evicted = l2_->fill(fill.line, origin, fill.core, fill.fill_time,
-                                 provenance_ ? &slot : nullptr)) {
+    if (auto evicted = l2_->fill_absent(fill.line, origin, fill.core,
+                                        fill.fill_time, &slot)) {
       if (evicted->victim.dirty) memory_->writeback(fill.fill_time);
       if (provenance_) {
         // The displacement metadata rides the pollution shadow's own insert
@@ -385,7 +392,7 @@ void CmpSimulator::drain_l2(Cycle now) {
       // used_late fate at install time, never a live record.
       provenance_->on_fill(slot, fill.origin, fill.demand_merged);
     }
-    if (fill.write) l2_->mark_dirty(fill.line);  // write-allocate installs dirty
+    if (fill.write) l2_->mark_dirty_slot(slot);  // write-allocate installs dirty
   }
 }
 
@@ -517,12 +524,13 @@ void CmpSimulator::issue_hw_prefetches(CoreState& core, CoreId id,
                                        const TraceRecord& rec, bool was_l2_miss,
                                        Cycle now) {
   if (!config_.hw_prefetch) return;
-  pf_scratch_.clear();
-  core.prefetcher->observe(
+  CorePrefetchers::Candidates candidates{};
+  const std::uint32_t n = core.prefetcher->observe_into(
       PrefetchObservation{.addr = rec.addr, .site = rec.site,
                           .was_miss = was_l2_miss},
-      pf_scratch_);
-  for (LineAddr line : pf_scratch_) {
+      candidates);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const LineAddr line = candidates[i];
     if (l2_->contains(line) || mshr_->find(line) != nullptr) continue;
     if (mshr_->full()) break;  // hw prefetches never stall: drop the rest
     const Cycle fill_time = memory_->issue(now, FillOrigin::kHardware);

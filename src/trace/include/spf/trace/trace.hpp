@@ -15,6 +15,7 @@
 //                  the problem loads SP prefetches.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -48,9 +49,21 @@ struct TraceRecord {
     return (flags() & kFlagDelinquent) != 0;
   }
 
+  /// Packs one access; a compute gap above 0xffff saturates. Inline: every
+  /// TraceBuffer::emit runs it.
   static TraceRecord make(Addr addr, std::uint32_t outer_iter, AccessKind kind,
                           std::uint8_t site, TraceFlags flags,
-                          std::uint32_t compute_gap) noexcept;
+                          std::uint32_t compute_gap) noexcept {
+    TraceRecord r;
+    r.addr = addr;
+    r.outer_iter = outer_iter;
+    r.compute_gap = static_cast<std::uint16_t>(
+        std::min<std::uint32_t>(compute_gap, 0xffffu));
+    r.site = site;
+    r.packed = static_cast<std::uint8_t>(
+        (static_cast<std::uint8_t>(kind) & 0x3) | (flags << 2));
+    return r;
+  }
 
   friend bool operator==(const TraceRecord&, const TraceRecord&) = default;
 };

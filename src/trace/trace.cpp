@@ -23,20 +23,6 @@ void note_record_allocation() noexcept {
 }  // namespace detail
 }  // namespace trace_hooks
 
-TraceRecord TraceRecord::make(Addr addr, std::uint32_t outer_iter,
-                              AccessKind kind, std::uint8_t site,
-                              TraceFlags flags, std::uint32_t compute_gap) noexcept {
-  TraceRecord r;
-  r.addr = addr;
-  r.outer_iter = outer_iter;
-  r.compute_gap = static_cast<std::uint16_t>(
-      std::min<std::uint32_t>(compute_gap, 0xffffu));
-  r.site = site;
-  r.packed = static_cast<std::uint8_t>((static_cast<std::uint8_t>(kind) & 0x3) |
-                                       (flags << 2));
-  return r;
-}
-
 std::uint32_t TraceBuffer::outer_iterations() const noexcept {
   std::uint32_t max_iter = 0;
   bool any = false;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
-#include "spf/common/assert.hpp"
 #include "spf/common/rng.hpp"
 #include "spf/workloads/vheap.hpp"
 
@@ -19,10 +19,14 @@ constexpr std::uint64_t kLineBytes = 64;
 }  // namespace
 
 Em3dWorkload::Em3dWorkload(const Em3dConfig& config) : config_(config) {
-  SPF_ASSERT(config.nodes >= 4, "em3d needs at least four nodes");
-  SPF_ASSERT(config.nodes % 2 == 0, "em3d nodes split into two equal halves");
-  SPF_ASSERT(config.arity > 0, "arity must be positive");
-  SPF_ASSERT(config.passes > 0, "need at least one pass");
+  if (config.nodes < 4) {
+    throw std::invalid_argument("em3d needs at least four nodes");
+  }
+  if (config.nodes % 2 != 0) {
+    throw std::invalid_argument("em3d nodes split into two equal halves");
+  }
+  if (config.arity == 0) throw std::invalid_argument("arity must be positive");
+  if (config.passes == 0) throw std::invalid_argument("need at least one pass");
 
   Xoshiro256 rng(config.seed);
   const std::uint32_t n = config.nodes;

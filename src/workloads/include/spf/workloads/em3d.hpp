@@ -65,6 +65,8 @@ enum Em3dSite : std::uint8_t {
 
 class Em3dWorkload final : public Workload {
  public:
+  /// Throws std::invalid_argument when `config` has fewer than four or an
+  /// odd number of nodes, or a zero arity or pass count.
   explicit Em3dWorkload(const Em3dConfig& config);
 
   [[nodiscard]] std::string name() const override { return "em3d"; }

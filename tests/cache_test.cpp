@@ -102,11 +102,13 @@ TEST(CacheTest, DemandRefillUpgradesUsedBit) {
 
 TEST(CacheTest, MarkDirtyWithoutTouchingRecency) {
   Cache c(CacheGeometry(256, 4, 64), ReplacementKind::kLru);  // 1 set
-  for (LineAddr l = 0; l < 4; ++l) c.fill(l, FillOrigin::kDemand, 0, l);
-  EXPECT_TRUE(c.mark_dirty(0));
+  std::uint32_t slot0 = Cache::kNoSlot;
+  c.fill(0, FillOrigin::kDemand, 0, 0, &slot0);
+  for (LineAddr l = 1; l < 4; ++l) c.fill(l, FillOrigin::kDemand, 0, l);
+  c.mark_dirty_slot(slot0);
   EXPECT_TRUE(c.probe(0)->dirty);
-  EXPECT_FALSE(c.mark_dirty(99));
-  // Line 0 is still the LRU victim: mark_dirty must not promote it.
+  EXPECT_FALSE(c.probe(1)->dirty);
+  // Line 0 is still the LRU victim: mark_dirty_slot must not promote it.
   const auto ev = c.fill(50, FillOrigin::kDemand, 0, 10);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->victim.line, 0u);

@@ -14,7 +14,9 @@
 //     (pick + gate checks) per record, sharing CmpSimulator's per-record
 //     access code but none of the batched loop's limits or leader mask;
 //     ReplayOracle::run_until is the same scheduler stopping at a pause
-//     point, the counterpart of CmpSimulator::run_until;
+//     point, the counterpart of CmpSimulator::run_until. After every record
+//     it checks the L2 install invariant: no line with an outstanding MSHR
+//     entry is resident in the L2 (the premise of drain_l2's fill_absent);
 //   * run_sp_once — an SP cell on the materialized helper through the
 //     record-at-a-time scheduler, summarized like ExperimentContext does.
 #pragma once
@@ -138,6 +140,17 @@ struct ReplayOracle {
                  "all remaining cores gated: sync cycle");
       sim.step_batch(pick, /*limit_lo=*/0, /*limit_hi=*/0,
                      /*leader_sensitive=*/false);
+      check_install_invariant(sim);
+    }
+  }
+
+  /// Aborts when a line with an outstanding MSHR entry is resident in the
+  /// L2: drain_l2 installs every fill with Cache::fill_absent, which relies
+  /// on that never happening.
+  static void check_install_invariant(const CmpSimulator& sim) {
+    for (const LineAddr line : sim.mshr_->lines()) {
+      SPF_ASSERT(!sim.l2_->contains(line),
+                 "outstanding MSHR line resident in the L2");
     }
   }
 };

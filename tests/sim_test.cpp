@@ -3,6 +3,8 @@
 // synchronization, and determinism.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "spf/common/rng.hpp"
 #include "spf/sim/simulator.hpp"
 #include "spf/core/helper_gen.hpp"
@@ -388,6 +390,28 @@ TEST(SimulatorTest, ClassificationPartitionsL2Lookups) {
   const ThreadMetrics& m = r.main();
   EXPECT_EQ(m.totally_hits + m.partially_hits + m.totally_misses, m.l2_lookups);
   EXPECT_EQ(m.l1_hits + m.l2_lookups, m.demand_accesses);
+}
+
+TEST(SimulatorTest, ZeroMshrsRejectedBeforeAnyStateChanges) {
+  TraceBuffer t;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    t.emit(line_addr(i * 3), 0, AccessKind::kRead, 0);
+  }
+  SimConfig none = base_config();
+  none.l2_mshrs = 0;
+  CmpSimulator fresh(none);
+  EXPECT_THROW((void)fresh.run({CoreStream{.trace = &t}}),
+               std::invalid_argument);
+
+  // A rejected run leaves a used simulator as reusable as a finished one.
+  CmpSimulator sim(base_config());
+  const SimResult first = sim.run({CoreStream{.trace = &t}});
+  EXPECT_THROW((void)sim.run(none, {CoreStream{.trace = &t}}),
+               std::invalid_argument);
+  const SimResult again = sim.run(base_config(), {CoreStream{.trace = &t}});
+  EXPECT_EQ(again.main().finish_time, first.main().finish_time);
+  EXPECT_EQ(again.main().totally_misses, first.main().totally_misses);
+  EXPECT_EQ(again.mshr.allocations, first.mshr.allocations);
 }
 
 TEST(SimulatorDeathTest, SyncLeaderMustBeAnotherCore) {
