@@ -53,12 +53,12 @@ struct Scale {
 
 // ---- strict flag parsing ---------------------------------------------
 //
-// Every driver shares these: a malformed numeric value ("abc", "4x",
-// overflow, negative where unsigned is expected) is a usage error — exit 2
-// with a message — instead of silently parsing as 0 (CliFlags::get_int) or
-// throwing an unhandled std::invalid_argument. The whole-token parses
-// themselves (spf::parse_u64, parse_u32, parse_double) live in
-// spf/common/cli.hpp, shared with the examples.
+// Every driver shares these: a malformed value ("abc", "4x", overflow,
+// negative where unsigned is expected, "ture" for a boolean) is a usage
+// error — exit 2 with a message — instead of a silent default or an
+// unhandled std::invalid_argument. The whole-token parses themselves
+// (spf::parse_u64, parse_u32, parse_double, CliFlags::get_uint and
+// get_bool) live in spf/common/cli.hpp, shared with the examples.
 
 /// Exits 2 with `msg` plus the common-flag usage line.
 [[noreturn]] inline void usage_error(const std::string& msg) {
@@ -78,21 +78,13 @@ inline std::uint64_t require_uint(const CliFlags& flags, const std::string& name
               "' (want unsigned int)");
 }
 
-/// Strict accessor: bare `--name`, `--name=<bool>`, or the default.
-/// CliFlags::get_bool maps any unrecognized value to false; here a typo
-/// ("--provenance=ture") is a usage error instead of a silent default.
+/// Strict accessor: bare `--name`, `--name=<bool>`, or the default; usage
+/// error otherwise (a typo such as "--provenance=ture").
 inline bool require_bool(const CliFlags& flags, const std::string& name,
                          bool def) {
-  if (!flags.has(name)) return def;
-  const std::string raw = flags.get(name, "");
-  if (raw.empty() || raw == "true" || raw == "1" || raw == "yes" ||
-      raw == "on") {
-    return true;
-  }
-  if (raw == "false" || raw == "0" || raw == "no" || raw == "off") {
-    return false;
-  }
-  usage_error("bad --" + name + " value '" + raw + "' (want true|false)");
+  if (const auto v = flags.get_bool(name, def)) return *v;
+  usage_error("bad --" + name + " value '" + flags.get(name, "") +
+              "' (want true|false)");
 }
 
 inline Scale parse_scale(const CliFlags& flags) {
@@ -111,7 +103,7 @@ inline Scale parse_scale(const CliFlags& flags) {
   } catch (const std::exception& e) {
     usage_error(std::string("bad L2 geometry: ") + e.what());
   }
-  s.csv = flags.get_bool("csv", false);
+  s.csv = require_bool(flags, "csv", false);
   s.threads = static_cast<unsigned>(require_uint(flags, "threads", 0));
   return s;
 }

@@ -7,7 +7,7 @@
 #include "spf/common/rng.hpp"
 #include "spf/core/helper_gen.hpp"
 #include "spf/mshr/mshr.hpp"
-#include "spf/prefetch/chain.hpp"
+#include "spf/prefetch/core_prefetchers.hpp"
 #include "spf/profile/set_affinity.hpp"
 #include "spf/sim/simulator.hpp"
 
@@ -56,28 +56,34 @@ void BM_MshrAllocateDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_MshrAllocateDrain);
 
-void BM_PrefetcherChainObserve(benchmark::State& state) {
-  PrefetcherChain chain = PrefetcherChain::core2_default();
-  std::vector<LineAddr> out;
+void BM_CorePrefetchersObserve(benchmark::State& state) {
+  CorePrefetchers prefetchers(64);
+  CorePrefetchers::Candidates out{};
   Addr addr = 0;
   for (auto _ : state) {
-    out.clear();
-    chain.observe(
-        PrefetchObservation{.addr = addr, .site = 1, .was_miss = true}, out);
+    benchmark::DoNotOptimize(prefetchers.observe_into(
+        PrefetchObservation{.addr = addr, .site = 1, .was_miss = true}, out));
     benchmark::DoNotOptimize(out.data());
     addr += 64;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PrefetcherChainObserve);
+BENCHMARK(BM_CorePrefetchersObserve);
 
 void BM_SetAffinityObserve(benchmark::State& state) {
-  SetAffinityAnalyzer analyzer(CacheGeometry(1 << 20, 16, 64),
-                               SetAffinityMode::kRecurrent);
+  // A set stops counting once it saturates, so the analyzer is finished
+  // every window: each window is one fresh invocation, as the
+  // per-invocation analysis runs it, and the loop keeps counting blocks.
+  constexpr std::uint32_t kWindow = 1u << 14;
+  SetAffinityAnalyzer analyzer(CacheGeometry(1 << 20, 16, 64));
   Xoshiro256 rng(2);
-  std::uint32_t iter = 0;
+  std::uint32_t i = 0;
   for (auto _ : state) {
-    analyzer.observe(rng.below(1u << 26), iter++ / 64);
+    analyzer.observe(rng.below(1u << 26), i / 64);
+    if (++i == kWindow) {
+      benchmark::DoNotOptimize(analyzer.finish());
+      i = 0;
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   using namespace spf;
   CliFlags flags(argc, argv);
   const bench::Scale scale = bench::parse_scale(flags);
-  const bool quick = flags.get_bool("quick", false);
+  const bool quick = bench::require_bool(flags, "quick", false);
   const auto reps =
       static_cast<unsigned>(bench::require_uint(flags, "reps", quick ? 1 : 3));
   const std::string out_path = flags.get("out", "BENCH_perf.json");

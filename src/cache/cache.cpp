@@ -65,18 +65,6 @@ std::optional<Eviction> Cache::fill(LineAddr line, FillOrigin origin,
   return fill_absent(line, origin, core, now, slot_out);
 }
 
-bool Cache::invalidate(LineAddr line) {
-  const std::uint64_t set = geometry_.set_of_line(line);
-  const std::uint32_t way = find_way(set, line);
-  if (way == kNoWay) return false;
-  const std::size_t idx = set * geometry_.ways() + way;
-  tags_[idx] = 0;
-  ptags_[set * ptag_stride_ + way] = 0;
-  meta_[idx] = 0;
-  valid_[set] &= ~(std::uint64_t{1} << way);
-  return true;
-}
-
 std::uint32_t Cache::set_occupancy(std::uint64_t set) const {
   SPF_ASSERT(set < geometry_.num_sets(), "set index out of range");
   return static_cast<std::uint32_t>(std::popcount(valid_[set]));

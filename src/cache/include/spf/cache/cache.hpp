@@ -113,12 +113,15 @@ class Cache {
   /// Sentinel for "no (set, way) slot" in the slot-reporting interfaces
   /// below. Slots index the row-major per-line arrays: set * ways + way.
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  /// Seed of the Random policy's generator (ignored by the others); the
+  /// simulator's L2 always uses it.
+  static constexpr std::uint64_t kDefaultSeed = 0x5eed;
 
   /// `arena`, when non-null, backs the per-line and validity arrays; it must
   /// outlive the cache (and every cache moved from it). Null keeps the
   /// global heap.
   Cache(const CacheGeometry& geometry, ReplacementKind policy,
-        std::uint64_t seed = 0x5eed, Arena* arena = nullptr);
+        std::uint64_t seed = kDefaultSeed, Arena* arena = nullptr);
 
   Cache(const Cache&) = delete;
   Cache& operator=(const Cache&) = delete;
@@ -134,7 +137,7 @@ class Cache {
   /// ExperimentContext uses to replay many configurations without per-run
   /// construction.
   void reset_to(const CacheGeometry& geometry, ReplacementKind policy,
-                std::uint64_t seed = 0x5eed);
+                std::uint64_t seed = kDefaultSeed);
 
   [[nodiscard]] const CacheGeometry& geometry() const noexcept { return geometry_; }
   [[nodiscard]] ReplacementKind policy() const noexcept { return policy_.kind(); }
@@ -253,9 +256,6 @@ class Cache {
     return evicted;
   }
 
-  /// Drop the line if present. Returns true if it was present.
-  bool invalidate(LineAddr line);
-
   /// Set the dirty bit of the line in `slot` without touching replacement
   /// state (write-allocate installs mark the slot their fill reported).
   /// Precondition: `slot` holds a valid line.
@@ -269,16 +269,6 @@ class Cache {
 
   /// Number of valid lines currently in `set`.
   [[nodiscard]] std::uint32_t set_occupancy(std::uint64_t set) const;
-
-  /// True when this cache resolves tag matches with the vector path (SIMD
-  /// compiled in and not disabled via SPF_FORCE_SCALAR_TAGS).
-  [[nodiscard]] static bool simd_tag_match() noexcept {
-#ifdef SPF_SIMD_MATCH
-    return !simd::force_scalar;
-#else
-    return false;
-#endif
-  }
 
   /// Visit every valid line (diagnostics / inspectors), in row-major
   /// (set, way) order. Templated so visitors inline — no std::function

@@ -70,13 +70,6 @@ std::string CliFlags::get(const std::string& name, const std::string& def) const
   return it->second;
 }
 
-std::int64_t CliFlags::get_int(const std::string& name, std::int64_t def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  consumed_[name] = true;
-  return std::strtoll(it->second.c_str(), nullptr, 0);
-}
-
 std::optional<std::uint64_t> CliFlags::get_uint(const std::string& name,
                                                 std::uint64_t def) const {
   auto it = flags_.find(name);
@@ -87,19 +80,15 @@ std::optional<std::uint64_t> CliFlags::get_uint(const std::string& name,
   return v;
 }
 
-double CliFlags::get_double(const std::string& name, double def) const {
+std::optional<bool> CliFlags::get_bool(const std::string& name,
+                                       bool def) const {
   auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   consumed_[name] = true;
-  return std::strtod(it->second.c_str(), nullptr);
-}
-
-bool CliFlags::get_bool(const std::string& name, bool def) const {
-  auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  consumed_[name] = true;
-  return it->second == "true" || it->second == "1" || it->second == "yes" ||
-         it->second == "on";
+  const std::string& v = it->second;  // a bare --name parsed as "true"
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  return std::nullopt;
 }
 
 std::vector<std::string> CliFlags::unconsumed() const {

@@ -29,15 +29,16 @@ class CliFlags {
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
   /// Strict unsigned accessor: `def` when the flag is absent, its value when
   /// that parses as one whole unsigned token (parse_u64), nullopt when it
   /// does not (`--n`, `--n=`, `--n=abc`, `--n=-1`, `--n=4x`, overflow).
-  /// get_int instead maps a malformed value to 0.
   [[nodiscard]] std::optional<std::uint64_t> get_uint(const std::string& name,
                                                       std::uint64_t def) const;
-  [[nodiscard]] double get_double(const std::string& name, double def) const;
-  [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
+  /// Strict boolean accessor: `def` when the flag is absent, true for a bare
+  /// `--name` or `--name=true|1|yes|on`, false for `--name=false|0|no|off`,
+  /// nullopt for any other value (`--csv=ture`, `--csv=`).
+  [[nodiscard]] std::optional<bool> get_bool(const std::string& name,
+                                             bool def) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
     return positional_;

@@ -70,58 +70,6 @@ DistanceBound refine_with_helper(
   return refined;
 }
 
-std::uint32_t PhasedDistanceBound::bound_at(std::uint32_t outer_iter) const {
-  std::uint32_t cap = whole.upper_limit;
-  for (const PhaseDistanceBound& p : phases) {
-    if (outer_iter < p.begin_iter) break;
-    cap = p.upper_limit;
-  }
-  return cap;
-}
-
-std::uint32_t PhasedDistanceBound::min_phase_bound() const {
-  std::uint32_t best = whole.upper_limit;
-  for (const PhaseDistanceBound& p : phases) {
-    best = std::min(best, p.upper_limit);
-  }
-  return best;
-}
-
-std::string PhasedDistanceBound::to_string() const {
-  std::ostringstream out;
-  out << "PhasedDistanceBound{" << whole.to_string() << " phases=[";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseDistanceBound& p = phases[i];
-    if (i != 0) out << " ";
-    out << "[" << p.begin_iter << "," << p.end_iter << ")<=" << p.upper_limit;
-  }
-  out << "]}";
-  return out.str();
-}
-
-namespace {
-
-// Phases with samples get the paper's per-phase cap via `cap_of`; sampled-
-// less phases inherit the whole-run limit (no evidence to relax them).
-template <typename CapFn>
-std::vector<PhaseDistanceBound> phase_bounds_from(
-    const std::vector<AffinityPhase>& phases, std::uint32_t whole_limit,
-    CapFn cap_of) {
-  std::vector<PhaseDistanceBound> out;
-  out.reserve(phases.size());
-  for (const AffinityPhase& p : phases) {
-    PhaseDistanceBound b;
-    b.begin_iter = p.begin_iter;
-    b.end_iter = p.end_iter;
-    b.min_sa = p.min_sa;
-    b.upper_limit = p.samples != 0 ? cap_of(p.min_sa) : whole_limit;
-    out.push_back(b);
-  }
-  return out;
-}
-
-}  // namespace
-
 PhasedDistanceBound estimate_phase_bounds(
     const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts, const CacheGeometry& l2,
@@ -139,45 +87,19 @@ PhasedDistanceBound estimate_phase_bounds(
   out.whole.original_min_sa = sa.whole.merged.min_sa();
   out.whole.upper_limit =
       std::max<std::uint32_t>(1, out.whole.original_min_sa / 2);
-  out.phases = phase_bounds_from(
-      sa.phases, out.whole.upper_limit, [](std::uint32_t min_sa) {
-        return std::max<std::uint32_t>(1, min_sa / 2);
-      });
-  return out;
-}
-
-PhasedDistanceBound refine_phase_bounds(
-    const PhasedDistanceBound& bound, const TraceBuffer& main_trace,
-    const std::vector<std::uint32_t>& invocation_starts, const SpParams& params,
-    const CacheGeometry& l2, const PhaseAffinityConfig& config) {
-  SPF_SPAN("phase-refine");
-  telemetry::count(telemetry::Counter::kRefineRuns);
-  telemetry::count(telemetry::Counter::kPhaseAnalyses);
-  // Same combined main+helper reference stream as refine_with_helper (see
-  // the re-anchoring rationale there); the phases are detected on that
-  // merged stream, so a phase's cap reflects the helper pressure *inside* it.
-  MergeByIterCursor combined(
-      TraceViewCursor(main_trace),
-      HelperViewCursor(main_trace, params, {}, /*re_anchor=*/true));
-  const PhasedSaResult sa =
-      analyze_workload_sa_phased(combined, invocation_starts, l2, config);
-  telemetry::count(telemetry::Counter::kAffinityPhases, sa.phases.size());
-  PhasedDistanceBound refined;
-  refined.whole = bound.whole;
-  if (sa.whole.merged.any_saturated()) {
-    refined.whole.with_helper_min_sa = sa.whole.merged.min_sa();
-    refined.whole.upper_limit = std::max<std::uint32_t>(
-        1, std::min(*refined.whole.with_helper_min_sa,
-                    bound.whole.original_min_sa / 2));
+  // Phases with samples get the paper's cap; sample-less phases inherit the
+  // whole-run limit (no evidence to relax them).
+  out.phases.reserve(sa.phases.size());
+  for (const AffinityPhase& p : sa.phases) {
+    out.phases.push_back(PhaseDistanceBound{
+        .begin_iter = p.begin_iter,
+        .end_iter = p.end_iter,
+        .min_sa = p.min_sa,
+        .upper_limit = p.samples != 0
+                           ? std::max<std::uint32_t>(1, p.min_sa / 2)
+                           : out.whole.upper_limit});
   }
-  const std::uint32_t original_half =
-      std::max<std::uint32_t>(1, bound.whole.original_min_sa / 2);
-  refined.phases = phase_bounds_from(
-      sa.phases, refined.whole.upper_limit,
-      [original_half](std::uint32_t min_sa) {
-        return std::max<std::uint32_t>(1, std::min(min_sa, original_half));
-      });
-  return refined;
+  return out;
 }
 
 }  // namespace spf

@@ -166,10 +166,4 @@ ExperimentContextPool::TraceMemoStats ExperimentContextPool::trace_memo_stats()
   return memo_stats_;
 }
 
-void ExperimentContextPool::clear_trace_memo() {
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  memo_.clear();
-  memo_stats_ = TraceMemoStats{};
-}
-
 }  // namespace spf

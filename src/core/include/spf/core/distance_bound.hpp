@@ -60,22 +60,21 @@ struct DistanceBound {
 // ---- per-phase bounds (phase-incremental analyzer) -----------------------
 //
 // The whole-run bound caps the entire run at the worst phase's limit. The
-// phased analyses keep the whole-run result — bit-identical to the functions
-// above — and additionally carry one bound per detected phase, so the
-// adaptive controller can re-clamp its ceiling as the workload's set
-// pressure shifts (AdaptiveConfig::phase_caps). min over the per-phase
-// bounds always equals the whole-run bound (phases partition the samples),
-// so per-phase capping only ever *relaxes* quiet phases, never loosens the
-// paper's inequality inside a pressured one.
+// phased analysis keeps the whole-run result — bit-identical to
+// estimate_distance_bound — and additionally carries one bound per detected
+// phase, so the adaptive controller can re-clamp its ceiling as the
+// workload's set pressure shifts (AdaptiveConfig::phase_caps). min over the
+// per-phase bounds always equals the whole-run bound (phases partition the
+// samples), so per-phase capping only ever *relaxes* quiet phases, never
+// loosens the paper's inequality inside a pressured one.
 
 struct PhaseDistanceBound {
   /// Cumulative outer-iteration span [begin_iter, end_iter) this bound
   /// applies to; spans are contiguous and start at 0.
   std::uint32_t begin_iter = 0;
   std::uint32_t end_iter = 0;
-  /// Minimum SA measured inside the phase on the analyzed stream (original
-  /// for estimate_phase_bounds, main+helper for refine_phase_bounds); 0 when
-  /// the phase recorded no sample.
+  /// Minimum original SA measured inside the phase; 0 when the phase
+  /// recorded no sample.
   std::uint32_t min_sa = 0;
   /// The cap recommended while this phase is active. Phases without samples
   /// inherit the whole-run limit (conservative: no evidence to relax).
@@ -83,20 +82,10 @@ struct PhaseDistanceBound {
 };
 
 struct PhasedDistanceBound {
-  /// Identical to what estimate_distance_bound / refine_with_helper return
-  /// on the same inputs (the degenerate single-phase reference semantics).
+  /// Identical to what estimate_distance_bound returns on the same inputs
+  /// (the degenerate single-phase reference semantics).
   DistanceBound whole;
   std::vector<PhaseDistanceBound> phases;  // >= 1 once analyzed
-
-  [[nodiscard]] std::uint32_t phase_count() const noexcept {
-    return static_cast<std::uint32_t>(phases.size());
-  }
-  /// Cap of the phase covering `outer_iter` (the last phase covers the tail;
-  /// whole.upper_limit when no phases were analyzed).
-  [[nodiscard]] std::uint32_t bound_at(std::uint32_t outer_iter) const;
-  /// min over per-phase caps — always equals whole.upper_limit.
-  [[nodiscard]] std::uint32_t min_phase_bound() const;
-  [[nodiscard]] std::string to_string() const;
 };
 
 /// Phased analogue of estimate_distance_bound: same whole-run bound (and the
@@ -106,13 +95,5 @@ struct PhasedDistanceBound {
     const TraceBuffer& main_trace,
     const std::vector<std::uint32_t>& invocation_starts, const CacheGeometry& l2,
     const PhaseAffinityConfig& config = {});
-
-/// Phased analogue of refine_with_helper: phases are detected on the same
-/// streamed main+helper merge (zero trace-record allocations); each phase's
-/// cap is max(1, min(phase_with_helper_min_sa, original_min_sa / 2)).
-[[nodiscard]] PhasedDistanceBound refine_phase_bounds(
-    const PhasedDistanceBound& bound, const TraceBuffer& main_trace,
-    const std::vector<std::uint32_t>& invocation_starts, const SpParams& params,
-    const CacheGeometry& l2, const PhaseAffinityConfig& config = {});
 
 }  // namespace spf

@@ -191,10 +191,6 @@ class ExperimentContextPool {
 
   [[nodiscard]] TraceMemoStats trace_memo_stats() const;
 
-  /// Drops every memoized trace (and resets the stats) — for long-lived pools
-  /// whose workload set changes, or tests.
-  void clear_trace_memo();
-
  private:
   friend class Lease;
   void release(std::unique_ptr<ExperimentContext> ctx);

@@ -43,9 +43,6 @@ struct HelperGenOptions {
   /// Emit delinquent loads as AccessKind::kPrefetch (non-binding) instead of
   /// blocking reads.
   bool use_prefetch_instructions = false;
-  /// Compute cycles the helper spends per kept record (address arithmetic).
-  /// The paper's helper does almost none.
-  std::uint16_t helper_compute_gap = 0;
 };
 
 /// Lazy TraceCursor over the helper thread's access stream: streams the main
@@ -189,8 +186,9 @@ class HelperViewCursor {
     } else if (label_ == Label::kRoundStart) {
       outer = round_.begin;
     }
-    return TraceRecord::make(r.addr, outer, kind, r.site, r.flags(),
-                             options_.helper_compute_gap);
+    // The paper's helper does almost no computation: its records carry no
+    // compute gap.
+    return TraceRecord::make(r.addr, outer, kind, r.site, r.flags(), 0);
   }
 
   /// Advances pos_ to the next main-trace record the helper keeps and caches

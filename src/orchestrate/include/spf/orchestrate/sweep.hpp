@@ -98,10 +98,6 @@ struct SweepSpec {
   std::vector<double> rps = {0.5};
   std::vector<CacheGeometry> geometries = {CacheGeometry(1 << 20, 16, 64)};
   std::vector<HelperKind> helpers = {HelperKind::kBlockingLoad};
-  /// Hardware prefetchers in the baseline run (the paper's normalization).
-  bool baseline_hw_prefetch = true;
-  /// Compute cycles the helper spends per kept record.
-  std::uint16_t helper_compute_gap = 0;
   /// Distance-controller axis, innermost in the grid order. Adaptive cells
   /// replay the trace once through ExperimentContext::run_adaptive, retuned
   /// at every interval boundary, and record the controller's distance

@@ -174,7 +174,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         SpExperimentConfig cfg;
         cfg.sim.l2 = spec.geometries[g];
         cfg.sim.provenance = spec.provenance;
-        cfg.baseline_hw_prefetch = spec.baseline_hw_prefetch;
         plane.baseline =
             contexts.acquire()->run_original(src.trace, cfg, &l1_hits[w]);
       });
@@ -208,7 +207,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
               cell.distance = distance;
               cell.bound_upper =
                   plane_ok ? planes[p].bound.whole.upper_limit : 0;
-              cell.phase_count = plane_ok ? planes[p].bound.phase_count() : 0;
+              cell.phase_count =
+                  plane_ok ? static_cast<std::uint32_t>(planes[p].bound.phases.size()) : 0;
               cell.controller = controller;
               cells.push_back(cell);
               cell_plane.push_back(p);
@@ -241,8 +241,6 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         cfg.sim.provenance = spec.provenance;
         cfg.helper.use_prefetch_instructions =
             cell.helper == HelperKind::kPrefetchInstruction;
-        cfg.helper.helper_compute_gap = spec.helper_compute_gap;
-        cfg.baseline_hw_prefetch = spec.baseline_hw_prefetch;
         SpComparison cmp;
         cmp.original = planes[p].baseline;
         if (cell.controller == ControllerKind::kStatic) {

@@ -1,14 +1,10 @@
-// Devirtualized per-core prefetcher pair for the simulator hot path.
-//
-// Semantically identical to PrefetcherChain::core2_default (DPL stride and
-// the streamer watch the same access; the candidates of one observation are
-// sorted and deduplicated), but the two engines are direct members: no
-// unique_ptr indirection and no virtual dispatch per access, so
-// `observe_into` inlines into the simulator's access loop. Both configs are
-// fixed, so one observation yields at most kMaxCandidates lines, collected
-// in a caller's fixed buffer and sorted in place. PrefetcherChain stays as
-// the generic composition surface for ablations and tests; this type is the
-// fixed Core 2 arrangement only.
+// The per-core hardware prefetcher pair: the paper testbed's Core 2
+// arrangement of one DPL stride engine and one streamer, both watching the
+// same access stream. The candidates of one observation are sorted and
+// deduplicated. The two engines are direct members, so `observe_into`
+// inlines into the simulator's access loop. Both configs are fixed, so one
+// observation yields at most kMaxCandidates lines, collected in a caller's
+// fixed buffer and sorted in place.
 #pragma once
 
 #include <array>
@@ -33,9 +29,8 @@ class CorePrefetchers {
       : stride_(stride_config(line_bytes)), stream_(stream_config(line_bytes)) {}
 
   /// Observe one access and write this observation's candidate lines to
-  /// `out`, ascending and without repeats; returns how many. These are
-  /// exactly the lines PrefetcherChain::core2_default appends for it.
-  /// Forced inline: the simulator runs it on every L2-visible access.
+  /// `out`, ascending and without repeats; returns how many. Forced inline:
+  /// the simulator runs it on every L2-visible access.
   SPF_ALWAYS_INLINE std::uint32_t observe_into(const PrefetchObservation& obs,
                                                Candidates& out) {
     std::uint32_t n = stride_.observe_into(obs, out.data());

@@ -1,4 +1,4 @@
-// Hardware prefetcher interface.
+// Vocabulary shared by the hardware prefetcher engines.
 //
 // The paper's testbed (Core 2) has two kinds of hardware prefetchers per die:
 // the DPL (Data Prefetch Logic, an IP/stride prefetcher) and the streamer
@@ -9,12 +9,12 @@
 //
 // Prefetchers observe the demand access stream and emit candidate lines; the
 // simulator filters candidates against cache contents and MSHRs and issues
-// the survivors.
+// the survivors. Each engine (StridePrefetcher, StreamPrefetcher) is a plain
+// class with one observe_into() that writes an observation's candidates into
+// a caller's buffer; CorePrefetchers pairs them per core.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "spf/mem/types.hpp"
 
@@ -26,8 +26,8 @@ namespace spf {
 using SiteId = std::uint32_t;
 
 /// Largest `degree` an engine accepts: the engines write at most `degree`
-/// candidates per observation, and their std::vector observe() wrappers
-/// collect them in a stack buffer of this many lines.
+/// candidates per observation, so a buffer of this many lines holds any
+/// observation's candidates.
 inline constexpr std::uint32_t kMaxPrefetchDegree = 64;
 
 /// One observed demand access, as seen by a prefetcher.
@@ -36,19 +36,6 @@ struct PrefetchObservation {
   SiteId site = 0;
   /// Whether the access missed in the cache level this prefetcher watches.
   bool was_miss = false;
-};
-
-class HwPrefetcher {
- public:
-  virtual ~HwPrefetcher() = default;
-
-  /// Observe one access and append any prefetch candidate lines to `out`.
-  /// Candidates may duplicate cached lines; the caller deduplicates.
-  virtual void observe(const PrefetchObservation& obs,
-                       std::vector<LineAddr>& out) = 0;
-
-  virtual void reset() = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 }  // namespace spf

@@ -24,7 +24,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "spf/common/simd_match.hpp"
 #include "spf/prefetch/prefetcher.hpp"
@@ -43,7 +42,7 @@ struct StreamConfig {
   std::uint32_t page_bytes = 4096;
 };
 
-class StreamPrefetcher final : public HwPrefetcher {
+class StreamPrefetcher {
  public:
   /// Tracker limit: the width of the validity bitmask.
   static constexpr std::uint32_t kMaxStreams = 64;
@@ -54,13 +53,7 @@ class StreamPrefetcher final : public HwPrefetcher {
   /// hold config.degree lines. Returns how many were written.
   std::uint32_t observe_into(const PrefetchObservation& obs, LineAddr* out);
 
-  void observe(const PrefetchObservation& obs, std::vector<LineAddr>& out) override {
-    LineAddr buf[kMaxPrefetchDegree]{};
-    const std::uint32_t n = observe_into(obs, buf);
-    out.insert(out.end(), buf, buf + n);
-  }
-  void reset() override;
-  [[nodiscard]] std::string name() const override { return "streamer"; }
+  void reset();
 
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
 
@@ -166,7 +159,7 @@ class StreamPrefetcher final : public HwPrefetcher {
 };
 
 // Defined here (not stream.cpp) so per-access callers inline the tracker
-// scan instead of paying an out-of-line virtual-sized call.
+// scan instead of paying an out-of-line call.
 inline std::uint32_t StreamPrefetcher::observe_into(const PrefetchObservation& obs,
                                                     LineAddr* out) {
   const LineAddr line = obs.addr >> line_shift_;

@@ -23,7 +23,7 @@ struct StrideConfig {
   std::uint32_t line_bytes = 64;
 };
 
-class StridePrefetcher final : public HwPrefetcher {
+class StridePrefetcher {
  public:
   explicit StridePrefetcher(const StrideConfig& config);
 
@@ -31,13 +31,7 @@ class StridePrefetcher final : public HwPrefetcher {
   /// hold config.degree lines. Returns how many were written.
   std::uint32_t observe_into(const PrefetchObservation& obs, LineAddr* out);
 
-  void observe(const PrefetchObservation& obs, std::vector<LineAddr>& out) override {
-    LineAddr buf[kMaxPrefetchDegree]{};
-    const std::uint32_t n = observe_into(obs, buf);
-    out.insert(out.end(), buf, buf + n);
-  }
-  void reset() override;
-  [[nodiscard]] std::string name() const override { return "dpl-stride"; }
+  void reset();
 
   [[nodiscard]] std::uint64_t issued() const noexcept { return issued_; }
 
@@ -57,7 +51,7 @@ class StridePrefetcher final : public HwPrefetcher {
 };
 
 // Defined here (not stride.cpp) so per-access callers inline the table
-// update instead of paying an out-of-line virtual-sized call.
+// update instead of paying an out-of-line call.
 inline std::uint32_t StridePrefetcher::observe_into(const PrefetchObservation& obs,
                                                     LineAddr* out) {
   Entry& e = table_[obs.site & (config_.table_entries - 1)];

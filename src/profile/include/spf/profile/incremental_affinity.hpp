@@ -49,8 +49,7 @@ struct PhaseAffinityConfig {
   /// spanning the run — the legacy whole-run semantics.
   bool detect_phases = true;
 
-  /// Empty string if runnable; otherwise a one-line reason (surfaced by
-  /// SweepSpec::validate and the bench drivers instead of crashing).
+  /// Empty string if runnable; otherwise a one-line reason.
   [[nodiscard]] std::string validate() const;
 };
 
@@ -68,13 +67,10 @@ struct AffinityPhase {
 struct PhasedSaResult {
   /// Bit-identical to analyze_workload_sa on the same record sequence.
   WorkloadSaResult whole;
-  /// At least one phase; a contiguous partition of the iteration span.
-  std::vector<AffinityPhase> phases;
-
-  /// Minimum SA over phases that recorded samples — always equal to
+  /// At least one phase; a contiguous partition of the iteration span. The
+  /// minimum SA over the phases that recorded samples always equals
   /// whole.merged.min_sa() (phases partition the samples).
-  [[nodiscard]] std::uint32_t min_sa_over_phases() const;
-  [[nodiscard]] std::string to_string() const;
+  std::vector<AffinityPhase> phases;
 };
 
 /// Streaming analyzer: feed records in trace order via observe(); when

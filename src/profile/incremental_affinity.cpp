@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace spf {
 
@@ -15,29 +14,6 @@ std::string PhaseAffinityConfig::validate() const {
     return "phase ema_alpha must be in (0, 1]";
   }
   return {};
-}
-
-std::uint32_t PhasedSaResult::min_sa_over_phases() const {
-  std::uint32_t best = 0;
-  for (const AffinityPhase& p : phases) {
-    if (p.samples == 0) continue;
-    if (best == 0 || p.min_sa < best) best = p.min_sa;
-  }
-  SPF_ASSERT(best != 0, "no phase recorded a sample");
-  return best;
-}
-
-std::string PhasedSaResult::to_string() const {
-  std::ostringstream out;
-  out << "PhasedSA{" << whole.merged.to_string() << " phases=[";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const AffinityPhase& p = phases[i];
-    if (i != 0) out << " ";
-    out << "[" << p.begin_iter << "," << p.end_iter << ")min=" << p.min_sa
-        << "x" << p.samples;
-  }
-  out << "]}";
-  return out.str();
 }
 
 IncrementalAffinityAnalyzer::IncrementalAffinityAnalyzer(

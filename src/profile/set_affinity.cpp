@@ -39,10 +39,8 @@ std::string SetAffinityResult::to_string() const {
   return out.str();
 }
 
-SetAffinityAnalyzer::SetAffinityAnalyzer(const CacheGeometry& geometry,
-                                         SetAffinityMode mode)
+SetAffinityAnalyzer::SetAffinityAnalyzer(const CacheGeometry& geometry)
     : geometry_(geometry),
-      mode_(mode),
       sets_(geometry.num_sets()),
       blocks_(geometry.num_sets() * geometry.ways()) {}
 
@@ -59,30 +57,20 @@ std::uint32_t SetAffinityAnalyzer::observe(Addr addr,
     touched_.push_back(set);
   }
 
-  if (state.saturated && mode_ == SetAffinityMode::kFirstSaturation) return 0;
+  if (state.saturated) return 0;
 
   // Figure 3: only *new* distinct blocks advance the set's count.
   LineAddr* row = &blocks_[set * geometry_.ways()];
   if (std::find(row, row + state.count, line) != row + state.count) return 0;
   row[state.count++] = line;
+  if (state.count < geometry_.ways()) return 0;
 
-  if (state.count >= geometry_.ways()) {
-    // Iteration count is 1-based and measured from the current window's
-    // start: the loop start for the first saturation (exactly Figure 3),
-    // or the previous saturation point in kRecurrent mode.
-    const std::uint32_t sa = outer_iter + 1 - state.window_start;
-    result_.samples.push_back(sa);
-    if (!state.saturated) {
-      state.saturated = true;
-      result_.per_set.emplace(set, sa);
-    }
-    if (mode_ == SetAffinityMode::kRecurrent) {
-      state.count = 0;
-      state.window_start = outer_iter + 1;
-    }
-    return sa;
-  }
-  return 0;
+  // The iteration count is 1-based, measured from the loop start.
+  const std::uint32_t sa = outer_iter + 1;
+  state.saturated = true;
+  result_.samples.push_back(sa);
+  result_.per_set.emplace(set, sa);
+  return sa;
 }
 
 SetAffinityResult SetAffinityAnalyzer::finish() {
@@ -95,9 +83,8 @@ SetAffinityResult SetAffinityAnalyzer::finish() {
 }
 
 SetAffinityResult SetAffinityAnalyzer::analyze(const TraceBuffer& trace,
-                                               const CacheGeometry& geometry,
-                                               SetAffinityMode mode) {
-  SetAffinityAnalyzer analyzer(geometry, mode);
+                                               const CacheGeometry& geometry) {
+  SetAffinityAnalyzer analyzer(geometry);
   for (const TraceRecord& r : trace) analyzer.observe(r.addr, r.outer_iter);
   return analyzer.finish();
 }

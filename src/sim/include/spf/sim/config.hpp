@@ -26,15 +26,11 @@ struct SimConfig {
   ReplacementKind replacement = ReplacementKind::kLru;
   /// Enable the per-core DPL + streamer hardware prefetchers.
   bool hw_prefetch = true;
-  /// Capacity of the pollution tracker's eviction shadow table.
-  std::uint32_t shadow_capacity = 8192;
   /// Track per-line prefetch-fill provenance (fate attribution, timeliness
   /// and victim reuse-distance histograms — see spf/sim/provenance.hpp).
   /// Observation-only: on or off, simulation outcomes are bit-identical; off
   /// (the default) skips the tracker entirely so hot paths pay one branch.
   bool provenance = false;
-  /// Seed for the Random replacement policy (unused by deterministic ones).
-  std::uint64_t seed = 0x5eed;
   /// When nonzero, snapshot the shared L2's occupancy composition roughly
   /// every this many cycles (see spf/sim/occupancy.hpp). 0 disables.
   Cycle occupancy_sample_interval = 0;

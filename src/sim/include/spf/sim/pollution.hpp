@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "spf/cache/cache.hpp"
+#include "spf/common/assert.hpp"
 #include "spf/common/ring_buffer.hpp"
 #include "spf/mem/geometry.hpp"
 #include "spf/mem/types.hpp"
@@ -58,13 +59,15 @@ struct ShadowAux {
   std::uint32_t evictor_slot = 0;
 };
 
-/// Bounded open-addressing map from shadowed line to the origin of the fill
-/// that evicted it. Linear probing with backward-shift deletion (no
-/// tombstones), sized to at most half-full for the tracker's fixed capacity,
-/// so lookups on the per-miss hot path touch one or two contiguous slots
-/// instead of chasing unordered_map buckets. Never iterated — membership and
-/// size are the only observable behaviour, so the probe order cannot leak
-/// into artifacts.
+/// Bounded open-addressing set of shadowed lines. A slot is the line itself,
+/// with an all-ones sentinel for empty: with lines of two bytes or more a
+/// line address has its top bit clear, so only the last line of a
+/// 1-byte-line geometry could collide (asserted in debug builds). Linear
+/// probing with backward-shift deletion (no tombstones), sized to at most
+/// half-full for the tracker's fixed capacity, so lookups on the per-miss
+/// hot path touch one or two contiguous slots instead of chasing
+/// unordered_map buckets. Never iterated — membership and size are the only
+/// observable behaviour, so the probe order cannot leak into artifacts.
 class ShadowTable {
  public:
   explicit ShadowTable(std::uint32_t capacity);
@@ -83,20 +86,19 @@ class ShadowTable {
   // The probes run on the simulator's per-eviction and per-miss paths, so
   // they are defined inline below.
 
-  /// Insert `line`, overwriting the stored origin if already present. With
-  /// aux enabled and `aux` non-null, the payload is stored alongside.
-  void insert_or_assign(LineAddr line, FillOrigin origin,
-                        const ShadowAux* aux = nullptr) {
+  /// Insert `line` if absent. With aux enabled and `aux` non-null, the
+  /// payload is stored alongside, overwriting a present entry's.
+  void insert_or_assign(LineAddr line, const ShadowAux* aux = nullptr) {
+    SPF_DEBUG_ASSERT(line != kEmpty, "line collides with the empty sentinel");
     std::size_t i = home_of(line);
-    while (slots_[i].occupied) {
-      if (slots_[i].line == line) {
-        slots_[i].origin = origin;
+    while (slots_[i] != kEmpty) {
+      if (slots_[i] == line) {
         if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
         return;
       }
       i = (i + 1) & mask_;
     }
-    slots_[i] = Slot{.line = line, .origin = origin, .occupied = true};
+    slots_[i] = line;
     if (aux != nullptr && !aux_.empty()) aux_[i] = *aux;
     ++size_;
   }
@@ -105,8 +107,8 @@ class ShadowTable {
   /// and `aux_out` non-null, the entry's payload is copied out first.
   bool erase(LineAddr line, ShadowAux* aux_out = nullptr) {
     std::size_t i = home_of(line);
-    while (slots_[i].occupied) {
-      if (slots_[i].line == line) {
+    while (slots_[i] != kEmpty) {
+      if (slots_[i] == line) {
         if (aux_out != nullptr && !aux_.empty()) *aux_out = aux_[i];
         erase_at(i);
         --size_;
@@ -118,11 +120,7 @@ class ShadowTable {
   }
 
  private:
-  struct Slot {
-    LineAddr line = 0;
-    FillOrigin origin = FillOrigin::kDemand;
-    bool occupied = false;
-  };
+  static constexpr LineAddr kEmpty = ~LineAddr{0};
 
   [[nodiscard]] std::size_t home_of(LineAddr line) const noexcept {
     // Fibonacci multiply-shift onto the power-of-two table.
@@ -131,12 +129,12 @@ class ShadowTable {
   void erase_at(std::size_t hole) {
     // Backward-shift deletion: pull each displaced successor in the probe
     // chain into the hole instead of leaving a tombstone.
-    slots_[hole].occupied = false;
+    slots_[hole] = kEmpty;
     std::size_t j = hole;
     for (;;) {
       j = (j + 1) & mask_;
-      if (!slots_[j].occupied) return;
-      const std::size_t home = home_of(slots_[j].line);
+      if (slots_[j] == kEmpty) return;
+      const std::size_t home = home_of(slots_[j]);
       // The element at j may move into the hole only if its home position
       // is not cyclically inside (hole, j] — otherwise probing would lose
       // it.
@@ -145,12 +143,12 @@ class ShadowTable {
       if (stays) continue;
       slots_[hole] = slots_[j];
       if (!aux_.empty()) aux_[hole] = aux_[j];
-      slots_[j].occupied = false;
+      slots_[j] = kEmpty;
       hole = j;
     }
   }
 
-  std::vector<Slot> slots_;
+  std::vector<LineAddr> slots_;
   std::size_t mask_;
   std::size_t size_ = 0;
   /// Slot-parallel payloads; empty (and cost-free) unless enable_aux() ran.
@@ -246,14 +244,14 @@ class PollutionTracker {
     if (shadow_order_.push(ev.victim.line, &dropped)) {
       shadow_.erase(dropped);
     }
-    shadow_.insert_or_assign(ev.victim.line, ev.replaced_by_origin, aux);
+    shadow_.insert_or_assign(ev.victim.line, aux);
   }
 
   CacheGeometry geometry_;
   PollutionStats stats_;
   /// FIFO of shadowed lines bounding the shadow table.
   RingBuffer<LineAddr> shadow_order_;
-  /// line -> origin of the fill that evicted it.
+  /// Lines a prefetch fill displaced while they were useful.
   ShadowTable shadow_;
   /// set -> pollution events (all three cases).
   std::vector<std::uint64_t> per_set_;

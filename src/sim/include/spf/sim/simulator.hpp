@@ -116,6 +116,9 @@ class CmpSimulator {
   /// Widest topology the scheduler supports: the batched loop tracks the
   /// leaders gated cores wait on in one 64-bit mask.
   static constexpr std::size_t kMaxStreams = 64;
+  /// Lines the pollution tracker's eviction shadow remembers for case-1
+  /// confirmation.
+  static constexpr std::uint32_t kShadowCapacity = 8192;
 
   struct CoreState {
     /// Feed state: `window`/`win_pos` hold the current RecordSource window

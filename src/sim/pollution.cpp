@@ -28,11 +28,11 @@ std::size_t shadow_slot_count(std::uint32_t capacity) {
 }  // namespace
 
 ShadowTable::ShadowTable(std::uint32_t capacity)
-    : slots_(shadow_slot_count(capacity)),
+    : slots_(shadow_slot_count(capacity), kEmpty),
       mask_(slots_.size() - 1) {}
 
 void ShadowTable::reset(std::uint32_t capacity) {
-  slots_.assign(shadow_slot_count(capacity), Slot{});
+  slots_.assign(shadow_slot_count(capacity), kEmpty);
   mask_ = slots_.size() - 1;
   size_ = 0;
   // Disabled until enable_aux() runs again; capacity is kept so a pooled

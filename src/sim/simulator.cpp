@@ -83,9 +83,9 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
     }
   }
   if (l2_) {
-    l2_->reset_to(config_.l2, config_.replacement, config_.seed);
+    l2_->reset_to(config_.l2, config_.replacement);
   } else {
-    l2_.emplace(config_.l2, config_.replacement, config_.seed, arena_);
+    l2_.emplace(config_.l2, config_.replacement, Cache::kDefaultSeed, arena_);
   }
   if (mshr_) {
     mshr_->reset(config_.l2_mshrs);
@@ -98,9 +98,9 @@ void CmpSimulator::reset(const std::vector<CoreStream>& streams) {
     memory_.emplace(config_.memory);
   }
   if (pollution_) {
-    pollution_->reset(config_.shadow_capacity, config_.l2);
+    pollution_->reset(kShadowCapacity, config_.l2);
   } else {
-    pollution_.emplace(config_.shadow_capacity, config_.l2);
+    pollution_.emplace(kShadowCapacity, config_.l2);
   }
   if (config_.provenance) {
     // Live records are slot-indexed: one per resident L2 line, exact. The

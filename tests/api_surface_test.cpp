@@ -66,20 +66,23 @@ TEST(ApiSurfaceTest, PrefetcherIssuedCounters) {
   sc.threshold = 1;
   sc.degree = 2;
   StridePrefetcher stride(sc);
-  std::vector<LineAddr> out;
+  LineAddr out[kMaxPrefetchDegree]{};
+  std::uint64_t written = 0;
   for (int i = 0; i < 4; ++i) {
-    stride.observe(PrefetchObservation{.addr = static_cast<Addr>(i) * 256,
-                                       .site = 1, .was_miss = true}, out);
+    written += stride.observe_into(
+        PrefetchObservation{.addr = static_cast<Addr>(i) * 256, .site = 1,
+                            .was_miss = true},
+        out);
   }
-  EXPECT_EQ(stride.issued(), out.size());
+  EXPECT_EQ(stride.issued(), written);
 
   StreamPrefetcher stream{StreamConfig{}};
-  out.clear();
-  stream.observe(PrefetchObservation{.addr = 0, .site = 0, .was_miss = true},
-                 out);
-  stream.observe(PrefetchObservation{.addr = 64, .site = 0, .was_miss = true},
-                 out);
-  EXPECT_EQ(stream.issued(), out.size());
+  written = 0;
+  for (const Addr a : {Addr{0}, Addr{64}}) {
+    written += stream.observe_into(
+        PrefetchObservation{.addr = a, .site = 0, .was_miss = true}, out);
+  }
+  EXPECT_EQ(stream.issued(), written);
 }
 
 TEST(ApiSurfaceTest, AdvisorOnMcfRecommendsLargeDistance) {

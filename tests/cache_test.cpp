@@ -2,6 +2,7 @@
 // metadata, and every replacement policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <utility>
@@ -115,14 +116,6 @@ TEST(CacheTest, MarkDirtyWithoutTouchingRecency) {
   EXPECT_TRUE(ev->victim.dirty);
 }
 
-TEST(CacheTest, InvalidateRemovesLine) {
-  Cache c(tiny(), ReplacementKind::kLru);
-  c.fill(4, FillOrigin::kDemand, 0, 0);
-  EXPECT_TRUE(c.invalidate(4));
-  EXPECT_FALSE(c.probe(4).has_value());
-  EXPECT_FALSE(c.invalidate(4));
-}
-
 TEST(CacheTest, SetOccupancyCounts) {
   Cache c(tiny(), ReplacementKind::kLru);
   EXPECT_EQ(c.set_occupancy(0), 0u);
@@ -198,18 +191,22 @@ TEST(FifoPolicyTest, HitsDoNotRefresh) {
 
 TEST(TreePlruPolicyTest, VictimIsNeverMostRecentlyUsed) {
   Cache c(CacheGeometry(512, 8, 64), ReplacementKind::kTreePlru);  // 1 set
-  for (LineAddr l = 0; l < 8; ++l) c.fill(l, FillOrigin::kDemand, 0, l);
+  std::vector<LineAddr> resident;
+  for (LineAddr l = 0; l < 8; ++l) {
+    c.fill(l, FillOrigin::kDemand, 0, l);
+    resident.push_back(l);
+  }
   for (int round = 0; round < 20; ++round) {
-    const LineAddr touched = round % 8;
-    c.access(touched, AccessKind::kRead, 100 + round);
+    const LineAddr touched = resident[round % 8];
+    ASSERT_TRUE(c.access(touched, AccessKind::kRead, 100 + round));
     // Fill a fresh line; PLRU must not evict the line touched immediately
     // before.
-    const auto ev = c.fill(1000 + round, FillOrigin::kDemand, 0, 200 + round);
+    const LineAddr fresh = 1000 + round;
+    const auto ev = c.fill(fresh, FillOrigin::kDemand, 0, 200 + round);
     ASSERT_TRUE(ev.has_value());
     EXPECT_NE(ev->victim.line, touched);
-    // Restore the evicted line so the set keeps its working set shape.
-    c.invalidate(1000 + round);
-    c.fill(ev->victim.line, FillOrigin::kDemand, 0, 300 + round);
+    // The fresh line takes the victim's place in the full set.
+    *std::find(resident.begin(), resident.end(), ev->victim.line) = fresh;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <vector>
@@ -181,13 +182,18 @@ TEST(TableTest, QuoteEscapingInCsv) {
 }
 
 TEST(CliFlagsTest, ParsesKeyValueAndBooleans) {
-  const char* argv[] = {"prog", "--n=5", "--verbose", "--rate=2.5",
-                        "positional", "--name=abc"};
-  CliFlags flags(6, argv);
-  EXPECT_EQ(flags.get_int("n", 0), 5);
-  EXPECT_TRUE(flags.get_bool("verbose", false));
-  EXPECT_DOUBLE_EQ(flags.get_double("rate", 0.0), 2.5);
+  const char* argv[] = {"prog",        "--n=5",      "--verbose",
+                        "--quiet=off", "positional", "--name=abc",
+                        "--csv=ture",  "--json="};
+  CliFlags flags(8, argv);
+  EXPECT_EQ(flags.get_uint("n", 0), 5u);
+  EXPECT_EQ(flags.get_bool("verbose", false), true);
+  EXPECT_EQ(flags.get_bool("quiet", true), false);
   EXPECT_EQ(flags.get("name", ""), "abc");
+  // A boolean value outside true|1|yes|on|false|0|no|off is malformed, not
+  // false.
+  EXPECT_EQ(flags.get_bool("csv", false), std::nullopt);
+  EXPECT_EQ(flags.get_bool("json", false), std::nullopt);
   ASSERT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "positional");
 }
@@ -195,15 +201,16 @@ TEST(CliFlagsTest, ParsesKeyValueAndBooleans) {
 TEST(CliFlagsTest, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   CliFlags flags(1, argv);
-  EXPECT_EQ(flags.get_int("missing", 7), 7);
-  EXPECT_FALSE(flags.get_bool("missing", false));
+  EXPECT_EQ(flags.get_uint("missing", 7), 7u);
+  EXPECT_EQ(flags.get_bool("missing", false), false);
+  EXPECT_EQ(flags.get_bool("missing", true), true);
   EXPECT_EQ(flags.get("missing", "d"), "d");
 }
 
 TEST(CliFlagsTest, UnconsumedDetectsTypos) {
   const char* argv[] = {"prog", "--good=1", "--typo=2"};
   CliFlags flags(3, argv);
-  (void)flags.get_int("good", 0);
+  (void)flags.get_uint("good", 0);
   const auto unknown = flags.unconsumed();
   ASSERT_EQ(unknown.size(), 1u);
   EXPECT_EQ(unknown[0], "typo");

@@ -130,14 +130,6 @@ TEST(HelperGenTest, PrefetchInstructionOptionConvertsDelinquentLoads) {
   EXPECT_TRUE(saw_prefetch);
 }
 
-TEST(HelperGenTest, HelperComputeGapApplied) {
-  HelperGenOptions opt;
-  opt.helper_compute_gap = 7;
-  const TraceBuffer helper = make_helper_trace(
-      synthetic_loop(4), SpParams{.a_ski = 0, .a_pre = 2}, opt);
-  for (const TraceRecord& r : helper) EXPECT_EQ(r.compute_gap, 7u);
-}
-
 TEST(MergeTracesTest, OrderedByOuterIter) {
   TraceBuffer a;
   a.emit(1, 0, AccessKind::kRead, 0);

@@ -1,12 +1,10 @@
-// Tests for the HEALTH workload (tree of villages with patient lists) and
-// the trace transformation utilities it exercises.
+// Tests for the HEALTH workload (tree of villages with patient lists).
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "spf/core/experiment.hpp"
 #include "spf/profile/pattern.hpp"
-#include "spf/trace/trace_ops.hpp"
 #include "spf/workloads/health.hpp"
 
 namespace spf {
@@ -58,10 +56,11 @@ TEST(HealthTest, EachStepVisitsEveryVillageOnce) {
   const TraceBuffer t = w.emit_trace();
   // Within step 0 (iters [0,85)), the 85 spine reads must touch 85 distinct
   // village addresses.
-  const TraceBuffer step0 = slice_iters(t, 0, 85);
   std::set<Addr> villages;
-  for (const TraceRecord& r : step0) {
-    if (r.site == kHealthVillage && r.is_spine()) villages.insert(r.addr);
+  for (const TraceRecord& r : t) {
+    if (r.outer_iter < 85 && r.site == kHealthVillage && r.is_spine()) {
+      villages.insert(r.addr);
+    }
   }
   EXPECT_EQ(villages.size(), 85u);
 }
@@ -114,50 +113,6 @@ TEST(HealthTest, SpHelpsThePatientWalk) {
   const SpComparison cmp = run_sp_experiment(trace, cfg);
   EXPECT_LT(cmp.norm_runtime(), 0.95);
   EXPECT_LT(cmp.sp.totally_misses, cmp.original.totally_misses);
-}
-
-TEST(TraceOpsTest, FilterBySiteKeepsOrder) {
-  TraceBuffer t;
-  t.emit(1, 0, AccessKind::kRead, 1);
-  t.emit(2, 0, AccessKind::kRead, 2);
-  t.emit(3, 1, AccessKind::kRead, 1);
-  const TraceBuffer only1 = filter_by_site(t, 1);
-  ASSERT_EQ(only1.size(), 2u);
-  EXPECT_EQ(only1[0].addr, 1u);
-  EXPECT_EQ(only1[1].addr, 3u);
-}
-
-TEST(TraceOpsTest, SliceItersRebases) {
-  TraceBuffer t;
-  for (std::uint32_t i = 0; i < 10; ++i) t.emit(i, i, AccessKind::kRead, 0);
-  const TraceBuffer sliced = slice_iters(t, 3, 7);
-  ASSERT_EQ(sliced.size(), 4u);
-  EXPECT_EQ(sliced[0].outer_iter, 0u);
-  EXPECT_EQ(sliced[0].addr, 3u);
-  EXPECT_EQ(sliced[3].outer_iter, 3u);
-  const TraceBuffer raw = slice_iters(t, 3, 7, /*rebase=*/false);
-  EXPECT_EQ(raw[0].outer_iter, 3u);
-}
-
-TEST(TraceOpsTest, DemandOnlyDropsPrefetches) {
-  TraceBuffer t;
-  t.emit(1, 0, AccessKind::kRead, 0);
-  t.emit(2, 0, AccessKind::kPrefetch, 0);
-  t.emit(3, 0, AccessKind::kWrite, 0);
-  const TraceBuffer demand = demand_only(t);
-  ASSERT_EQ(demand.size(), 2u);
-  EXPECT_EQ(demand[1].addr, 3u);
-}
-
-TEST(TraceOpsTest, ShiftItersSaturatesAtZero) {
-  TraceBuffer t;
-  t.emit(1, 2, AccessKind::kRead, 0);
-  t.emit(2, 10, AccessKind::kRead, 0);
-  const TraceBuffer shifted = shift_iters(t, -5);
-  EXPECT_EQ(shifted[0].outer_iter, 0u);
-  EXPECT_EQ(shifted[1].outer_iter, 5u);
-  const TraceBuffer forward = shift_iters(t, 3);
-  EXPECT_EQ(forward[0].outer_iter, 5u);
 }
 
 }  // namespace

@@ -2,25 +2,22 @@
 // per-phase distance bounds built on it (spf/profile/incremental_affinity.hpp,
 // spf/core/distance_bound.hpp).
 //
-// Three pillars:
+// Two pillars:
 //   * the phase partition is sound: phases are contiguous, cover the run, and
 //     — because they partition the SA samples — the minimum over per-phase
 //     bounds always equals the whole-run bound (capping per phase can only
 //     relax quiet phases, never loosen the paper's inequality);
 //   * the degenerate single-phase configuration is bit-identical to the
 //     legacy whole-run analyzer (analyze_workload_sa /
-//     estimate_distance_bound / refine_with_helper) — and the whole-run slice
-//     of the phased result is bit-identical even when detection is on;
-//   * per-phase refined bounds respect the paper's /2 inequality in every
-//     phase, and the whole-run refined bound is monotone non-increasing in
-//     helper pressure (more helper traffic saturates sets no later).
+//     estimate_distance_bound) — and the whole-run slice of the phased
+//     result is bit-identical even when detection is on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "spf/core/distance_bound.hpp"
-#include "spf/core/sp_params.hpp"
 #include "spf/profile/incremental_affinity.hpp"
 #include "spf/profile/invocations.hpp"
 #include "spf/workloads/em3d.hpp"
@@ -133,22 +130,26 @@ TEST(PhaseAffinityProperty, MinOverPhaseBoundsEqualsWholeBound) {
       ASSERT_TRUE(sa.whole.merged.any_saturated());
       // Phases partition the samples, so the per-phase minima reconstruct
       // the whole-run minimum exactly.
-      EXPECT_EQ(sa.min_sa_over_phases(), sa.whole.merged.min_sa());
+      std::uint32_t min_over_phases = UINT32_MAX;
       std::uint64_t total_samples = 0;
-      for (const AffinityPhase& p : sa.phases) total_samples += p.samples;
+      for (const AffinityPhase& p : sa.phases) {
+        if (p.samples != 0) {
+          min_over_phases = std::min(min_over_phases, p.min_sa);
+        }
+        total_samples += p.samples;
+      }
+      EXPECT_EQ(min_over_phases, sa.whole.merged.min_sa());
       EXPECT_EQ(total_samples, sa.whole.merged.samples.size());
 
       const PhasedDistanceBound bound =
           estimate_phase_bounds(f.trace, f.starts, test_l2(), cfg);
-      ASSERT_GE(bound.phase_count(), 1u);
-      EXPECT_EQ(bound.min_phase_bound(), bound.whole.upper_limit);
+      ASSERT_GE(bound.phases.size(), 1u);
+      std::uint32_t min_cap = UINT32_MAX;
       for (const PhaseDistanceBound& p : bound.phases) {
         EXPECT_GE(p.upper_limit, 1u);
-        // bound_at resolves every covered iteration to its phase's cap.
-        if (p.begin_iter < p.end_iter) {
-          EXPECT_EQ(bound.bound_at(p.begin_iter), p.upper_limit);
-        }
+        min_cap = std::min(min_cap, p.upper_limit);
       }
+      EXPECT_EQ(min_cap, bound.whole.upper_limit);
     }
   }
 }
@@ -193,54 +194,9 @@ TEST(PhaseAffinityProperty, SinglePhaseConfigIsBitIdenticalToLegacy) {
         estimate_phase_bounds(f.trace, f.starts, test_l2(), off);
     EXPECT_EQ(phased.whole.original_min_sa, base.original_min_sa);
     EXPECT_EQ(phased.whole.upper_limit, base.upper_limit);
-    EXPECT_EQ(phased.phase_count(), 1u);
+    ASSERT_EQ(phased.phases.size(), 1u);
     // One phase spanning the run inherits exactly the whole-run cap.
     EXPECT_EQ(phased.phases.front().upper_limit, base.upper_limit);
-
-    const SpParams params = SpParams::from_distance_rp(4, 0.5);
-    const DistanceBound refined_legacy =
-        refine_with_helper(base, f.trace, f.starts, params, test_l2());
-    const PhasedDistanceBound refined_phased = refine_phase_bounds(
-        phased, f.trace, f.starts, params, test_l2(), off);
-    EXPECT_EQ(refined_phased.whole.original_min_sa,
-              refined_legacy.original_min_sa);
-    EXPECT_EQ(refined_phased.whole.with_helper_min_sa,
-              refined_legacy.with_helper_min_sa);
-    EXPECT_EQ(refined_phased.whole.upper_limit, refined_legacy.upper_limit);
-    EXPECT_EQ(refined_phased.phase_count(), 1u);
-  }
-}
-
-// ---- helper pressure ------------------------------------------------------
-
-TEST(PhaseAffinityProperty, RefinedBoundsMonotoneInHelperPressure) {
-  const TraceBuffer trace =
-      phased_trace({{512, 2}, {512, 6}}, test_l2());
-  const std::vector<std::uint32_t> starts = {0, 512};
-  const PhasedDistanceBound base =
-      estimate_phase_bounds(trace, starts, test_l2());
-  const std::uint32_t original_half =
-      std::max(1u, base.whole.original_min_sa / 2);
-
-  std::uint32_t prev_whole = UINT32_MAX;
-  for (const double rp : {0.25, 0.5, 1.0}) {
-    SCOPED_TRACE(rp);
-    const SpParams params = SpParams::from_distance_rp(4, rp);
-    const PhasedDistanceBound refined =
-        refine_phase_bounds(base, trace, starts, params, test_l2());
-
-    // More helper traffic saturates every set no later, so the measured
-    // with-helper bound can only tighten as RP grows.
-    EXPECT_LE(refined.whole.upper_limit, prev_whole);
-    prev_whole = refined.whole.upper_limit;
-
-    // The paper's /2 inequality holds inside every phase: no phase cap ever
-    // exceeds half the original whole-run Set Affinity (or 1, the floor).
-    for (const PhaseDistanceBound& p : refined.phases) {
-      EXPECT_GE(p.upper_limit, 1u);
-      EXPECT_LE(p.upper_limit, original_half);
-    }
-    EXPECT_EQ(refined.min_phase_bound(), refined.whole.upper_limit);
   }
 }
 

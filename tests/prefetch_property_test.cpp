@@ -8,11 +8,13 @@
 //   * StridePrefetcher matches the vector-appending stride table over
 //     interleaved strided walks of one to 300 load sites;
 //   * CorePrefetchers::observe_into yields the reference pair's sorted,
-//     deduplicated candidates and PrefetcherChain::core2_default's, on random
-//     streams and on the L2-access streams of em3d, mcf and mst;
-//   * the std::vector wrappers append exactly what observe_into writes, a
-//     full-degree observation fits the wrapper's buffer, and a degree above
-//     it is rejected at construction.
+//     deduplicated candidates on random streams (also across a mid-stream
+//     reset, against a fresh reference) and on the L2-access streams of
+//     em3d, mcf and mst;
+//   * CorePrefetchers' std::vector overload appends exactly what
+//     observe_into writes, a full-degree observation fits a
+//     kMaxPrefetchDegree buffer, and a degree above it is rejected at
+//     construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +27,6 @@
 #include "prefetch_reference.hpp"
 #include "spf/cache/cache.hpp"
 #include "spf/cache/lru_stack.hpp"
-#include "spf/prefetch/chain.hpp"
 #include "spf/prefetch/core_prefetchers.hpp"
 #include "spf/prefetch/stream.hpp"
 #include "spf/prefetch/stride.hpp"
@@ -264,31 +265,34 @@ TEST(StrideEngineProperty, MatchesReference) {
   EXPECT_GT(candidates, 1000u);
 }
 
-/// Feeds `obs` to CorePrefetchers, the reference pair and the Core 2 chain;
-/// each observation's candidates must agree across all three, and the
-/// vector overload must append exactly what observe_into wrote. Returns the
+/// Feeds `obs` to CorePrefetchers and the reference pair; each
+/// observation's candidates must agree, and the vector overload must append
+/// exactly what observe_into wrote. When `reset_at` < obs.size(), both
+/// CorePrefetchers are reset before that observation and the reference
+/// starts over fresh: a reset must drop every engine's training. Returns the
 /// total candidate count.
-std::uint64_t expect_pair_matches(const std::vector<PrefetchObservation>& obs) {
+std::uint64_t expect_pair_matches(const std::vector<PrefetchObservation>& obs,
+                                  std::size_t reset_at = ~std::size_t{0}) {
   CorePrefetchers engine(64);
   CorePrefetchers wrapped(64);
   ReferenceCorePrefetchers reference(64);
-  PrefetcherChain chain = PrefetcherChain::core2_default(64);
   std::vector<LineAddr> want;
-  std::vector<LineAddr> chained;
   std::vector<LineAddr> appended;
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < obs.size(); ++i) {
+    if (i == reset_at) {
+      engine.reset();
+      wrapped.reset();
+      reference = ReferenceCorePrefetchers(64);
+    }
     CorePrefetchers::Candidates got{};
     const std::uint32_t n = engine.observe_into(obs[i], got);
     const std::vector<LineAddr> got_lines(got.begin(), got.begin() + n);
     want.clear();
     reference.observe(obs[i], want);
-    chained.clear();
-    chain.observe(obs[i], chained);
-    appended.assign(1, LineAddr{7});  // the wrapper appends after it
+    appended.assign(1, LineAddr{7});  // the overload appends after it
     wrapped.observe(obs[i], appended);
     EXPECT_EQ(got_lines, want) << "observation " << i;
-    EXPECT_EQ(got_lines, chained) << "observation " << i;
     EXPECT_EQ(std::vector<LineAddr>(appended.begin() + 1, appended.end()),
               got_lines)
         << "observation " << i;
@@ -308,6 +312,8 @@ TEST(CorePrefetchersProperty, MatchesReferencePairAndChainOnRandomStreams) {
         expect_pair_matches(random_observations(walkers, 5000, walkers, 0.6));
     candidates += expect_pair_matches(
         stride_observations(walkers + 100, 5000, walkers));
+    candidates += expect_pair_matches(
+        stride_observations(walkers + 200, 5000, walkers), /*reset_at=*/2500);
     ASSERT_FALSE(HasFailure());
   }
   EXPECT_GT(candidates, 1000u);
@@ -347,19 +353,22 @@ TEST(PrefetchEngineLimits, FullDegreeFillsTheWrapperBuffer) {
                                        .distance = kMaxPrefetchDegree,
                                        .degree = kMaxPrefetchDegree,
                                        .page_bytes = 1 << 20});
-  std::vector<LineAddr> out;
-  stream.observe(PrefetchObservation{.addr = 0, .was_miss = true}, out);
-  stream.observe(PrefetchObservation{.addr = 64, .was_miss = true}, out);
-  ASSERT_EQ(out.size(), kMaxPrefetchDegree);
+  LineAddr out[kMaxPrefetchDegree]{};
+  const auto miss = [](Addr a) {
+    return PrefetchObservation{.addr = a, .was_miss = true};
+  };
+  EXPECT_EQ(stream.observe_into(miss(0), out), 0u);
+  ASSERT_EQ(stream.observe_into(miss(64), out), kMaxPrefetchDegree);
   for (std::uint32_t i = 0; i < kMaxPrefetchDegree; ++i) EXPECT_EQ(out[i], 2 + i);
 
   StridePrefetcher stride(StrideConfig{.threshold = 1,
                                        .degree = kMaxPrefetchDegree});
-  out.clear();
+  std::uint32_t issued = 0;
   for (Addr a : {Addr{0}, Addr{128}, Addr{256}}) {
-    stride.observe(PrefetchObservation{.addr = a, .site = 1}, out);
+    issued +=
+        stride.observe_into(PrefetchObservation{.addr = a, .site = 1}, out);
   }
-  EXPECT_EQ(out.size(), kMaxPrefetchDegree);
+  EXPECT_EQ(issued, kMaxPrefetchDegree);
 }
 
 TEST(PrefetchEngineLimitsDeathTest, RejectsDegreeAboveTheBuffer) {

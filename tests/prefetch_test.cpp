@@ -1,24 +1,32 @@
-// Unit tests for the hardware prefetcher models (DPL stride + streamer) and
-// the composite chain.
+// Unit tests for the hardware prefetcher models (DPL stride + streamer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "spf/prefetch/chain.hpp"
 #include "spf/prefetch/stream.hpp"
 #include "spf/prefetch/stride.hpp"
 
 namespace spf {
 namespace {
 
-std::vector<LineAddr> observe_seq(HwPrefetcher& pf,
-                                  const std::vector<Addr>& addrs,
+/// Runs one observation through the engine's observe_into and appends its
+/// candidates to `out`.
+template <typename Engine>
+void feed(Engine& pf, const PrefetchObservation& obs,
+          std::vector<LineAddr>& out) {
+  LineAddr buf[kMaxPrefetchDegree]{};
+  const std::uint32_t n = pf.observe_into(obs, buf);
+  out.insert(out.end(), buf, buf + n);
+}
+
+template <typename Engine>
+std::vector<LineAddr> observe_seq(Engine& pf, const std::vector<Addr>& addrs,
                                   SiteId site = 1, bool miss = true) {
   std::vector<LineAddr> out;
   for (Addr a : addrs) {
-    pf.observe(PrefetchObservation{.addr = a, .site = site, .was_miss = miss},
-               out);
+    feed(pf, PrefetchObservation{.addr = a, .site = site, .was_miss = miss},
+         out);
   }
   return out;
 }
@@ -63,9 +71,9 @@ TEST(StridePrefetcherTest, StrideChangeDropsConfidence) {
   auto out = observe_seq(pf, {0, 128, 256, 384});  // confident
   out.clear();
   // Break the pattern; confidence decays, no issue on the new first stride.
-  pf.observe(PrefetchObservation{.addr = 4096, .site = 1, .was_miss = true}, out);
-  pf.observe(PrefetchObservation{.addr = 4096 + 64, .site = 1, .was_miss = true},
-             out);
+  feed(pf, PrefetchObservation{.addr = 4096, .site = 1, .was_miss = true}, out);
+  feed(pf, PrefetchObservation{.addr = 4096 + 64, .site = 1, .was_miss = true},
+       out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -88,10 +96,14 @@ TEST(StridePrefetcherTest, DifferentSitesTrainIndependently) {
   std::vector<LineAddr> out;
   // Interleave two sites with different strides; both should train.
   for (int i = 0; i < 4; ++i) {
-    pf.observe(PrefetchObservation{.addr = static_cast<Addr>(i) * 128,
-                                   .site = 1, .was_miss = true}, out);
-    pf.observe(PrefetchObservation{.addr = 100000 + static_cast<Addr>(i) * 256,
-                                   .site = 2, .was_miss = true}, out);
+    feed(pf,
+         PrefetchObservation{.addr = static_cast<Addr>(i) * 128, .site = 1,
+                             .was_miss = true},
+         out);
+    feed(pf,
+         PrefetchObservation{.addr = 100000 + static_cast<Addr>(i) * 256,
+                             .site = 2, .was_miss = true},
+         out);
   }
   EXPECT_FALSE(out.empty());
 }
@@ -124,10 +136,10 @@ TEST(StreamPrefetcherTest, TwoAdjacentMissesArmAscendingStream) {
   cfg.degree = 2;
   StreamPrefetcher pf(cfg);
   std::vector<LineAddr> out;
-  pf.observe(PrefetchObservation{.addr = 4096, .site = 0, .was_miss = true}, out);
+  feed(pf, PrefetchObservation{.addr = 4096, .site = 0, .was_miss = true}, out);
   EXPECT_TRUE(out.empty());  // training
-  pf.observe(PrefetchObservation{.addr = 4096 + 64, .site = 0, .was_miss = true},
-             out);
+  feed(pf, PrefetchObservation{.addr = 4096 + 64, .site = 0, .was_miss = true},
+       out);
   // Armed: window pulls ahead of line 65 by up to `degree` lines.
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0], 4096u / 64 + 2);
@@ -140,9 +152,9 @@ TEST(StreamPrefetcherTest, DescendingStreams) {
   StreamPrefetcher pf(cfg);
   std::vector<LineAddr> out;
   const Addr top = 8192 - 64;
-  pf.observe(PrefetchObservation{.addr = top, .site = 0, .was_miss = true}, out);
-  pf.observe(PrefetchObservation{.addr = top - 64, .site = 0, .was_miss = true},
-             out);
+  feed(pf, PrefetchObservation{.addr = top, .site = 0, .was_miss = true}, out);
+  feed(pf, PrefetchObservation{.addr = top - 64, .site = 0, .was_miss = true},
+       out);
   ASSERT_FALSE(out.empty());
   EXPECT_LT(out[0], (top - 64) / 64);
 }
@@ -155,11 +167,11 @@ TEST(StreamPrefetcherTest, NeverCrossesPageBoundary) {
   std::vector<LineAddr> out;
   // Arm a stream near the top of a 4KB page.
   const Addr near_top = 4096 - 3 * 64;
-  pf.observe(PrefetchObservation{.addr = near_top, .site = 0, .was_miss = true},
-             out);
-  pf.observe(
-      PrefetchObservation{.addr = near_top + 64, .site = 0, .was_miss = true},
-      out);
+  feed(pf, PrefetchObservation{.addr = near_top, .site = 0, .was_miss = true},
+       out);
+  feed(pf,
+       PrefetchObservation{.addr = near_top + 64, .site = 0, .was_miss = true},
+       out);
   for (LineAddr line : out) {
     EXPECT_LT(line, 4096u / 64) << "prefetch crossed the page";
   }
@@ -168,8 +180,8 @@ TEST(StreamPrefetcherTest, NeverCrossesPageBoundary) {
 TEST(StreamPrefetcherTest, HitsDoNotTrainNewStreams) {
   StreamPrefetcher pf(StreamConfig{});
   std::vector<LineAddr> out;
-  pf.observe(PrefetchObservation{.addr = 0, .site = 0, .was_miss = false}, out);
-  pf.observe(PrefetchObservation{.addr = 64, .site = 0, .was_miss = false}, out);
+  feed(pf, PrefetchObservation{.addr = 0, .site = 0, .was_miss = false}, out);
+  feed(pf, PrefetchObservation{.addr = 64, .site = 0, .was_miss = false}, out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -179,9 +191,9 @@ TEST(StreamPrefetcherTest, WindowRespectsDistance) {
   cfg.degree = 8;  // degree larger than distance: distance must clip
   StreamPrefetcher pf(cfg);
   std::vector<LineAddr> out;
-  pf.observe(PrefetchObservation{.addr = 4096, .site = 0, .was_miss = true}, out);
-  pf.observe(PrefetchObservation{.addr = 4096 + 64, .site = 0, .was_miss = true},
-             out);
+  feed(pf, PrefetchObservation{.addr = 4096, .site = 0, .was_miss = true}, out);
+  feed(pf, PrefetchObservation{.addr = 4096 + 64, .site = 0, .was_miss = true},
+       out);
   EXPECT_LE(out.size(), 3u);
   for (LineAddr line : out) {
     EXPECT_LE(line - (4096 + 64) / 64, 3u);
@@ -197,48 +209,13 @@ TEST(StreamPrefetcherTest, ManyStreamsTrackedConcurrently) {
   // Arm four streams in four different pages.
   for (Addr page = 0; page < 4; ++page) {
     const Addr base = (page + 10) * 4096;
-    pf.observe(PrefetchObservation{.addr = base, .site = 0, .was_miss = true},
-               out);
-    pf.observe(
-        PrefetchObservation{.addr = base + 64, .site = 0, .was_miss = true},
-        out);
+    feed(pf, PrefetchObservation{.addr = base, .site = 0, .was_miss = true},
+         out);
+    feed(pf,
+         PrefetchObservation{.addr = base + 64, .site = 0, .was_miss = true},
+         out);
   }
   EXPECT_EQ(out.size(), 4u);
-}
-
-TEST(PrefetcherChainTest, MergesAndDeduplicates) {
-  PrefetcherChain chain = PrefetcherChain::core2_default();
-  EXPECT_EQ(chain.engine_count(), 2u);
-  std::vector<LineAddr> out;
-  // Sequential misses train both the streamer and (same site) the stride
-  // engine; candidates overlap and must be deduplicated.
-  for (int i = 0; i < 6; ++i) {
-    chain.observe(PrefetchObservation{.addr = 4096 + static_cast<Addr>(i) * 64,
-                                      .site = 3, .was_miss = true},
-                  out);
-  }
-  std::vector<LineAddr> sorted = out;
-  std::sort(sorted.begin(), sorted.end());
-  // Within one observe() call there must be no duplicates; across calls the
-  // same line may legitimately reappear. Check the merged list is sane.
-  EXPECT_FALSE(out.empty());
-  EXPECT_NE(chain.name().find("dpl-stride"), std::string::npos);
-  EXPECT_NE(chain.name().find("streamer"), std::string::npos);
-}
-
-TEST(PrefetcherChainTest, ResetPropagates) {
-  PrefetcherChain chain = PrefetcherChain::core2_default();
-  std::vector<LineAddr> out;
-  for (int i = 0; i < 6; ++i) {
-    chain.observe(PrefetchObservation{.addr = static_cast<Addr>(i) * 64,
-                                      .site = 1, .was_miss = true},
-                  out);
-  }
-  chain.reset();
-  out.clear();
-  chain.observe(PrefetchObservation{.addr = 1 << 20, .site = 1, .was_miss = true},
-                out);
-  EXPECT_TRUE(out.empty());  // back to training from scratch
 }
 
 }  // namespace

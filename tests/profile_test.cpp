@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -48,26 +47,13 @@ TEST(SetAffinityTest, UnsaturatedSetsProduceNoSamples) {
 }
 
 TEST(SetAffinityTest, FirstSaturationModeRecordsOncePerSet) {
-  SetAffinityAnalyzer analyzer(tiny(), SetAffinityMode::kFirstSaturation);
+  SetAffinityAnalyzer analyzer(tiny());
   for (std::uint32_t tag = 0; tag < 10; ++tag) {
     analyzer.observe(addr_in_set(0, tag), tag);
   }
   const SetAffinityResult r = analyzer.finish();
   EXPECT_EQ(r.samples.size(), 1u);
   EXPECT_EQ(r.per_set.at(0), 2u);  // saturated at the 2nd distinct block
-}
-
-TEST(SetAffinityTest, RecurrentModeMeasuresOngoingRate) {
-  SetAffinityAnalyzer analyzer(tiny(), SetAffinityMode::kRecurrent);
-  // One new block to set 0 every iteration: window restarts after each
-  // saturation, so samples are the per-window distances.
-  for (std::uint32_t tag = 0; tag < 8; ++tag) {
-    analyzer.observe(addr_in_set(0, tag), tag);
-  }
-  const SetAffinityResult r = analyzer.finish();
-  ASSERT_EQ(r.samples.size(), 4u);  // 8 blocks / 2 ways
-  EXPECT_EQ(r.samples[0], 2u);
-  EXPECT_EQ(r.samples[1], 2u);  // re-based to the window start
 }
 
 TEST(SetAffinityTest, DistributionQuantiles) {
@@ -98,8 +84,7 @@ TEST(SetAffinityTest, AnalyzeTraceConvenience) {
 /// of `ways` slots and a touched-set list instead; the two must agree.
 class ReferenceSetAffinity {
  public:
-  ReferenceSetAffinity(const CacheGeometry& g, SetAffinityMode mode)
-      : geometry_(g), mode_(mode) {}
+  explicit ReferenceSetAffinity(const CacheGeometry& g) : geometry_(g) {}
 
   std::uint32_t observe(Addr addr, std::uint32_t outer_iter) {
     ++result_.accesses;
@@ -108,21 +93,13 @@ class ReferenceSetAffinity {
     const LineAddr line = geometry_.line_of(addr);
     const std::uint64_t set = geometry_.set_of_line(line);
     State& state = sets_[set];
-    if (state.saturated && mode_ == SetAffinityMode::kFirstSaturation) {
-      return 0;
-    }
+    if (state.saturated) return 0;
     if (!state.blocks.insert(line).second) return 0;
     if (state.blocks.size() < geometry_.ways()) return 0;
-    const std::uint32_t sa = outer_iter + 1 - state.window_start;
+    const std::uint32_t sa = outer_iter + 1;
+    state.saturated = true;
     result_.samples.push_back(sa);
-    if (!state.saturated) {
-      state.saturated = true;
-      result_.per_set.emplace(set, sa);
-    }
-    if (mode_ == SetAffinityMode::kRecurrent) {
-      state.blocks.clear();
-      state.window_start = outer_iter + 1;
-    }
+    result_.per_set.emplace(set, sa);
     return sa;
   }
 
@@ -138,27 +115,24 @@ class ReferenceSetAffinity {
   struct State {
     std::unordered_set<LineAddr> blocks;
     bool saturated = false;
-    std::uint32_t window_start = 0;
   };
   CacheGeometry geometry_;
-  SetAffinityMode mode_;
   std::unordered_map<std::uint64_t, State> sets_;
   SetAffinityResult result_;
 };
 
 class SetAffinityDifferentialTest
-    : public ::testing::TestWithParam<std::tuple<std::uint32_t, SetAffinityMode>> {
-};
+    : public ::testing::TestWithParam<std::uint32_t> {};
 
 // Many short invocations through one reused analyzer: every finish() must
 // leave it as fresh as a new one, so stale rows of sets touched by an earlier
 // invocation can never leak blocks, counts or saturation into a later one.
 TEST_P(SetAffinityDifferentialTest, ReusedAnalyzerMatchesHashSetReference) {
-  const auto [ways, mode] = GetParam();
+  const std::uint32_t ways = GetParam();
   const CacheGeometry g(std::uint64_t{64} * ways * 16, ways, 64);  // 16 sets
-  SetAffinityAnalyzer analyzer(g, mode);
-  ReferenceSetAffinity ref(g, mode);
-  Xoshiro256 rng(ways * 7919 + static_cast<std::uint64_t>(mode));
+  SetAffinityAnalyzer analyzer(g);
+  ReferenceSetAffinity ref(g);
+  Xoshiro256 rng(ways * 7919);
   std::uint64_t samples = 0;
   for (int inv = 0; inv < 300; ++inv) {
     // Some invocations saturate many sets, some touch a handful of blocks.
@@ -186,16 +160,11 @@ TEST_P(SetAffinityDifferentialTest, ReusedAnalyzerMatchesHashSetReference) {
   EXPECT_GT(samples, 0u);
 }
 
+// "_first": the analyzer records each set's first saturation.
 INSTANTIATE_TEST_SUITE_P(
     WaysAndModes, SetAffinityDifferentialTest,
-    ::testing::Combine(::testing::Values(1u, 2u, 16u, 64u),
-                       ::testing::Values(SetAffinityMode::kFirstSaturation,
-                                         SetAffinityMode::kRecurrent)),
-    [](const auto& param_info) {
-      return "ways" + std::to_string(std::get<0>(param_info.param)) +
-             (std::get<1>(param_info.param) == SetAffinityMode::kRecurrent
-                  ? "_recurrent"
-                  : "_first");
+    ::testing::Values(1u, 2u, 16u, 64u), [](const auto& param_info) {
+      return "ways" + std::to_string(param_info.param) + "_first";
     });
 
 TEST(BurstSamplingTest, KeepsBurstsSkipsIntervals) {

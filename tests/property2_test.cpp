@@ -1,4 +1,4 @@
-// Second property suite: sampling, trace-op composition, and analyzer
+// Second property suite: sampling, trace merging, and analyzer
 // idempotence properties over randomized inputs.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "spf/profile/sampling.hpp"
 #include "spf/profile/set_affinity.hpp"
 #include "spf/trace/trace_cursor.hpp"
-#include "spf/trace/trace_ops.hpp"
 
 namespace spf {
 namespace {
@@ -70,47 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Trace-op composition.
-
-TEST(TraceOpsPropertyTest, FiltersPartitionTheTrace) {
-  const TraceBuffer t = random_trace(3, 1000, 5);
-  std::size_t total = 0;
-  for (std::uint8_t site = 0; site < 6; ++site) {
-    total += filter_by_site(t, site).size();
-  }
-  EXPECT_EQ(total, t.size());
-}
-
-TEST(TraceOpsPropertyTest, SlicesTileTheTrace) {
-  const TraceBuffer t = random_trace(4, 1000, 5);
-  std::size_t total = 0;
-  for (std::uint32_t begin = 0; begin < 1000; begin += 100) {
-    total += slice_iters(t, begin, begin + 100).size();
-  }
-  EXPECT_EQ(total, t.size());
-}
-
-TEST(TraceOpsPropertyTest, ShiftThenShiftBackIsIdentityAboveZero) {
-  const TraceBuffer t = random_trace(5, 500, 3);
-  const TraceBuffer round_trip = shift_iters(shift_iters(t, 250), -250);
-  ASSERT_EQ(round_trip.size(), t.size());
-  for (std::size_t i = 0; i < t.size(); i += 41) {
-    EXPECT_EQ(round_trip[i], t[i]);
-  }
-}
-
-TEST(TraceOpsPropertyTest, SliceOfMergeEqualsMergeOfSlices) {
-  const TraceBuffer a = random_trace(6, 400, 3);
-  const TraceBuffer b = random_trace(7, 400, 2);
-  const TraceBuffer merged = merge(a, b);
-  const TraceBuffer slice_then = slice_iters(merged, 100, 300);
-  const TraceBuffer then_slice =
-      merge(slice_iters(a, 100, 300), slice_iters(b, 100, 300));
-  ASSERT_EQ(slice_then.size(), then_slice.size());
-  for (std::size_t i = 0; i < slice_then.size(); i += 23) {
-    EXPECT_EQ(slice_then[i], then_slice[i]);
-  }
-}
+// Trace merging.
 
 TEST(TraceOpsPropertyTest, MergeIsOrderedAndSizePreserving) {
   const TraceBuffer a = random_trace(8, 600, 2);

@@ -200,23 +200,6 @@ TEST(SaPropertyTest, SupersetStreamNeverIncreasesSa) {
   }
 }
 
-TEST(SaPropertyTest, RecurrentWindowsTileTheIterationSpace) {
-  const TraceBuffer t = random_trace(11, 3000, 6, 1 << 12);
-  const CacheGeometry g(16 * 1024, 4, 64);
-  SetAffinityAnalyzer analyzer(g, SetAffinityMode::kRecurrent);
-  for (const TraceRecord& r : t) analyzer.observe(r.addr, r.outer_iter);
-  const SetAffinityResult result = analyzer.finish();
-  // Every recurrent sample is a window length: positive and no longer than
-  // the whole loop.
-  for (std::uint32_t sa : result.samples) {
-    EXPECT_GE(sa, 1u);
-    EXPECT_LE(sa, result.outer_iterations);
-  }
-  // Recurrent mode yields at least as many samples as first-saturation mode.
-  const SetAffinityResult first = SetAffinityAnalyzer::analyze(t, g);
-  EXPECT_GE(result.samples.size(), first.samples.size());
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end determinism across the entire pipeline.
 

@@ -51,8 +51,7 @@ inline TraceBuffer helper_trace(const TraceBuffer& main_trace,
         pre_execute && r.is_delinquent() && options.use_prefetch_instructions
             ? AccessKind::kPrefetch
             : AccessKind::kRead;
-    helper.emit(r.addr, r.outer_iter, kind, r.site, r.flags(),
-                options.helper_compute_gap);
+    helper.emit(r.addr, r.outer_iter, kind, r.site, r.flags());
   }
   return helper;
 }

@@ -151,7 +151,6 @@ TEST_P(HelperViewPropertyTest, CursorEqualsMaterializedHelper) {
     const SpParams params = random_params(rng);
     HelperGenOptions options;
     options.use_prefetch_instructions = rng.below(2) == 1;
-    options.helper_compute_gap = static_cast<std::uint16_t>(rng.below(8));
     SCOPED_TRACE(params.to_string());
 
     const TraceBuffer helper =
@@ -177,7 +176,6 @@ TEST_P(HelperViewPropertyTest, BulkFillEqualsAdvanceLoop) {
     const SpParams params = random_params(rng);
     HelperGenOptions options;
     options.use_prefetch_instructions = rng.below(2) == 1;
-    options.helper_compute_gap = static_cast<std::uint16_t>(rng.below(8));
     const std::size_t chunk = 1 + rng.below(17);
     SCOPED_TRACE(params.to_string() + " chunk=" + std::to_string(chunk));
 
