@@ -8,8 +8,9 @@ Usage: check_bench_json.py BENCH_perf.json [BENCH_perf.json ...]
 
 With --sweep, each file is a JSONL artifact from spf_sweep (one cell per
 line) and the per-line contracts are:
-  * `phase_count` is an integer >= 1 on every successful cell — the phase
-    partition always contains at least the whole run (docs/method.md);
+  * every successful cell has an integer `bound_upper` >= 1 (the plane's
+    Set-Affinity bound, never below 1 — docs/method.md) and
+    `within_bound == (distance < bound_upper)`;
   * adaptive cells record one trajectory entry per interval
     (`intervals == len(trajectory)`) and end at or under their cap
     (`final_distance <= distance_cap`);
@@ -293,11 +294,16 @@ def check_sweep_line(path, lineno, doc):
             ok = _sweep_fail(path, lineno, "failed cell without an error field")
         return ok
 
-    pc = doc.get("phase_count")
-    if not isinstance(pc, int) or isinstance(pc, bool) or pc < 1:
+    bound = doc.get("bound_upper")
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         ok = _sweep_fail(
             path, lineno,
-            f"phase_count must be an integer >= 1 on ok cells, got {pc!r}")
+            f"bound_upper must be an integer >= 1 on ok cells, got {bound!r}")
+    elif doc.get("within_bound") != (doc.get("distance", 0) < bound):
+        ok = _sweep_fail(
+            path, lineno,
+            f"within_bound = {doc.get('within_bound')!r} disagrees with "
+            f"distance = {doc.get('distance')!r} < bound_upper = {bound}")
 
     if "trajectory" in doc:
         trajectory = doc["trajectory"]

@@ -138,10 +138,6 @@ struct SweepCell {
   std::uint32_t distance = 0;  // A_SKI (adaptive cells: the starting distance)
   /// Set-Affinity upper limit of this cell's workload × geometry plane.
   std::uint32_t bound_upper = 0;
-  /// Phases the plane's phase-incremental analysis (default
-  /// PhaseAffinityConfig) detected: >= 1 on a healthy plane, 0 when the
-  /// plane failed. Observation only; no controller reads it.
-  std::uint32_t phase_count = 0;
   ControllerKind controller = ControllerKind::kStatic;
 };
 

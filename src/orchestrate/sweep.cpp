@@ -28,11 +28,9 @@ std::vector<std::uint32_t> auto_distances(std::uint32_t bound) {
 namespace {
 
 /// Baseline + distance bound shared by every cell of one workload × geometry
-/// plane. The bound analysis is the phased one: bound.whole is bit-identical
-/// to the legacy estimate_distance_bound, and the phase partition feeds the
-/// phase_count artifact field.
+/// plane.
 struct Plane {
-  PhasedDistanceBound bound;
+  DistanceBound bound;
   SpRunSummary baseline;
 };
 
@@ -169,8 +167,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
         const std::shared_ptr<const TraceSource> src_ptr = source_for(w);
         const TraceSource& src = *src_ptr;
         Plane& plane = planes[p];
-        plane.bound = estimate_phase_bounds(src.trace, src.invocation_starts,
-                                            spec.geometries[g]);
+        plane.bound = estimate_distance_bound(src.trace, src.invocation_starts,
+                                              spec.geometries[g]);
         SpExperimentConfig cfg;
         cfg.sim.l2 = spec.geometries[g];
         cfg.sim.provenance = spec.provenance;
@@ -190,9 +188,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
       const bool plane_ok = plane_outcomes[p].ok;
       std::vector<std::uint32_t> distances = spec.distances;
       if (distances.empty()) {
-        distances =
-            plane_ok ? auto_distances(planes[p].bound.whole.upper_limit)
-                     : std::vector<std::uint32_t>{0};
+        distances = plane_ok ? auto_distances(planes[p].bound.upper_limit)
+                             : std::vector<std::uint32_t>{0};
       }
       for (const HelperKind helper : spec.helpers) {
         for (const double rp : spec.rps) {
@@ -205,10 +202,7 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
               cell.helper = helper;
               cell.rp = rp;
               cell.distance = distance;
-              cell.bound_upper =
-                  plane_ok ? planes[p].bound.whole.upper_limit : 0;
-              cell.phase_count =
-                  plane_ok ? static_cast<std::uint32_t>(planes[p].bound.phases.size()) : 0;
+              cell.bound_upper = plane_ok ? planes[p].bound.upper_limit : 0;
               cell.controller = controller;
               cells.push_back(cell);
               cell_plane.push_back(p);
@@ -300,7 +294,7 @@ std::size_t SweepResult::failed_count() const {
 
 Table SweepResult::to_table() const {
   SPF_SPAN("aggregate");
-  Table t({"workload", "L2", "helper", "controller", "RP", "A_SKI", "phases",
+  Table t({"workload", "L2", "helper", "controller", "RP", "A_SKI",
            "vs bound", "status", "Normalized_Runtime",
            "Normalized_MemoryAccesses", "Normalized_HotMisses",
            "dTotally_hit(%)", "dTotally_miss(%)", "dPartially_hit(%)",
@@ -312,8 +306,7 @@ Table SweepResult::to_table() const {
         .add(to_string(c.cell.helper))
         .add(to_string(c.cell.controller))
         .add(c.cell.rp, 2)
-        .add(static_cast<std::uint64_t>(c.cell.distance))
-        .add(static_cast<std::uint64_t>(c.cell.phase_count));
+        .add(static_cast<std::uint64_t>(c.cell.distance));
     if (!c.ok) {
       t.add("-").add("failed: " + c.error);
       for (int i = 0; i < 7; ++i) t.add("-");
@@ -349,7 +342,6 @@ void SweepResult::write_jsonl(std::ostream& out) const {
         .add("rp", c.cell.rp)
         .add("distance", c.cell.distance)
         .add("bound_upper", c.cell.bound_upper)
-        .add("phase_count", c.cell.phase_count)
         .add("within_bound", c.cell.distance < c.cell.bound_upper)
         .add("ok", c.ok);
     if (!c.ok) {
