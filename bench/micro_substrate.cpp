@@ -64,6 +64,7 @@ void BM_CorePrefetchersObserve(benchmark::State& state) {
     benchmark::DoNotOptimize(prefetchers.observe_into(
         PrefetchObservation{.addr = addr, .site = 1, .was_miss = true}, out));
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
     addr += 64;
   }
   state.SetItemsProcessed(state.iterations());

@@ -157,14 +157,15 @@ class ShadowTable {
 
 class PollutionTracker {
  public:
-  /// `geometry` attributes every pollution event to its cache set, making
-  /// the per-set damage distribution (the spatial counterpart of per-set
-  /// Set Affinity) queryable afterwards.
-  PollutionTracker(std::uint32_t shadow_capacity, const CacheGeometry& geometry);
+  /// The shadow remembers the last `capacity` displaced lines. `geometry`
+  /// attributes every pollution event to its cache set, making the per-set
+  /// damage distribution (the spatial counterpart of per-set Set Affinity)
+  /// queryable afterwards.
+  PollutionTracker(std::uint32_t capacity, const CacheGeometry& geometry);
 
   /// As-if-freshly-constructed, reusing shadow/per-set storage
   /// (ExperimentContext reuse seam).
-  void reset(std::uint32_t shadow_capacity, const CacheGeometry& geometry);
+  void reset(std::uint32_t capacity, const CacheGeometry& geometry);
 
   /// Let a companion tracker ride the shadow: entries inserted via the
   /// aux-carrying on_eviction overload keep their payload until the erase

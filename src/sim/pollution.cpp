@@ -44,17 +44,17 @@ void ShadowTable::enable_aux() {
   aux_.assign(slots_.size(), ShadowAux{});
 }
 
-PollutionTracker::PollutionTracker(std::uint32_t shadow_capacity,
+PollutionTracker::PollutionTracker(std::uint32_t capacity,
                                    const CacheGeometry& geometry)
-    : geometry_(geometry), shadow_order_(shadow_capacity),
-      shadow_(shadow_capacity), per_set_(geometry.num_sets(), 0) {}
+    : geometry_(geometry), shadow_order_(capacity),
+      shadow_(capacity), per_set_(geometry.num_sets(), 0) {}
 
-void PollutionTracker::reset(std::uint32_t shadow_capacity,
+void PollutionTracker::reset(std::uint32_t capacity,
                              const CacheGeometry& geometry) {
   geometry_ = geometry;
   stats_ = PollutionStats{};
-  shadow_order_.reset(shadow_capacity);
-  shadow_.reset(shadow_capacity);
+  shadow_order_.reset(capacity);
+  shadow_.reset(capacity);
   per_set_.assign(geometry.num_sets(), 0);
 }
 
