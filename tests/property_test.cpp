@@ -4,6 +4,7 @@
 
 #include <set>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "spf/common/rng.hpp"
@@ -11,6 +12,7 @@
 #include "spf/core/experiment.hpp"
 #include "spf/core/helper_gen.hpp"
 #include "spf/profile/set_affinity.hpp"
+#include "spf/sim/pollution.hpp"
 #include "spf/sim/simulator.hpp"
 #include "spf/trace/trace_cursor.hpp"
 #include "spf/workloads/synthetic.hpp"
@@ -197,6 +199,41 @@ TEST(SaPropertyTest, SupersetStreamNeverIncreasesSa) {
     auto it = both.per_set.find(set);
     ASSERT_NE(it, both.per_set.end()) << "saturated set vanished";
     EXPECT_LE(it->second, sa) << "set " << set;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The pollution shadow's open-addressing table against a hash map. Small
+// capacities keep probe chains long and wrapping, so duplicate inserts and
+// backward-shift deletions run through crowded chains; line 0 is in the
+// universe, since only the all-ones line marks an empty slot. Each entry's
+// aux payload must move with it and come back on erase.
+
+TEST(ShadowTablePropertyTest, MatchesHashMapUnderChurn) {
+  for (const std::uint32_t capacity : {1u, 8u, 64u}) {
+    SCOPED_TRACE(capacity);
+    ShadowTable table(capacity);
+    table.enable_aux();
+    std::unordered_map<LineAddr, std::uint32_t> ref;
+    Xoshiro256 rng(capacity);
+    const std::uint64_t universe = 4 * std::uint64_t{capacity} + 4;
+    for (std::uint32_t op = 0; op < 50000; ++op) {
+      const LineAddr line = rng.below(universe);
+      if (rng.below(2) == 0 && ref.size() < capacity) {
+        const ShadowAux aux{.evict_lookup = op};
+        table.insert_or_assign(line, &aux);
+        ref[line] = op;
+      } else {
+        ShadowAux got;
+        const auto it = ref.find(line);
+        ASSERT_EQ(table.erase(line, &got), it != ref.end()) << "op " << op;
+        if (it != ref.end()) {
+          EXPECT_EQ(got.evict_lookup, it->second) << "op " << op;
+          ref.erase(it);
+        }
+      }
+      ASSERT_EQ(table.size(), ref.size()) << "op " << op;
+    }
   }
 }
 
