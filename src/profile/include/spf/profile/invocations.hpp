@@ -54,24 +54,10 @@ template <TraceCursor Cursor>
   WorkloadSaResult out;
 
   // Per-invocation pass: a fresh analyzer per invocation, iteration numbers
-  // re-based so SA is "iterations since this call of the hot function".
-  std::size_t inv = 0;
-  SetAffinityAnalyzer analyzer(geometry);
-  std::uint32_t base = 0;
-  std::vector<SetAffinityResult> per_invocation;
-  for (; !cursor.done(); cursor.advance()) {
-    const TraceRecord& r = cursor.current();
-    while (inv + 1 < invocation_starts.size() &&
-           r.outer_iter >= invocation_starts[inv + 1]) {
-      per_invocation.push_back(analyzer.finish());
-      ++inv;
-      base = invocation_starts[inv];
-    }
-    analyzer.observe(r.addr, r.outer_iter - base);
-  }
-  per_invocation.push_back(analyzer.finish());
-
-  for (const SetAffinityResult& r : per_invocation) {
+  // re-based so SA is "iterations since this call of the hot function". Each
+  // invocation's result is merged as soon as it finishes, so only one is
+  // held at a time.
+  const auto merge = [&out](const SetAffinityResult& r) {
     out.merged.samples.insert(out.merged.samples.end(), r.samples.begin(),
                               r.samples.end());
     out.merged.accesses += r.accesses;
@@ -81,8 +67,22 @@ template <TraceCursor Cursor>
       auto [it, inserted] = out.merged.per_set.emplace(set, sa);
       if (!inserted) it->second = std::min(it->second, sa);
     }
+    ++out.invocations_analyzed;
+  };
+  std::size_t inv = 0;
+  SetAffinityAnalyzer analyzer(geometry);
+  std::uint32_t base = 0;
+  for (; !cursor.done(); cursor.advance()) {
+    const TraceRecord& r = cursor.current();
+    while (inv + 1 < invocation_starts.size() &&
+           r.outer_iter >= invocation_starts[inv + 1]) {
+      merge(analyzer.finish());
+      ++inv;
+      base = invocation_starts[inv];
+    }
+    analyzer.observe(r.addr, r.outer_iter - base);
   }
-  out.invocations_analyzed = static_cast<std::uint32_t>(per_invocation.size());
+  merge(analyzer.finish());
 
   if (out.merged.samples.empty()) {
     // No single invocation was long enough to saturate any set: measure over
