@@ -1,9 +1,11 @@
-// Unit tests for the hardware prefetcher models (DPL stride + streamer).
+// Unit tests for the hardware prefetcher models (DPL stride + streamer) and
+// their per-core pair.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "spf/prefetch/core_prefetchers.hpp"
 #include "spf/prefetch/stream.hpp"
 #include "spf/prefetch/stride.hpp"
 
@@ -216,6 +218,27 @@ TEST(StreamPrefetcherTest, ManyStreamsTrackedConcurrently) {
          out);
   }
   EXPECT_EQ(out.size(), 4u);
+}
+
+// CorePrefetchers chains the stride engine and the streamer into one
+// candidate buffer; its reset must reach both links of the chain.
+TEST(PrefetcherChainTest, ResetPropagates) {
+  CorePrefetchers chain(64);
+  std::vector<LineAddr> out;
+  for (int i = 0; i < 6; ++i) {
+    chain.observe(PrefetchObservation{.addr = static_cast<Addr>(i) * 64,
+                                      .site = 1, .was_miss = true},
+                  out);
+  }
+  EXPECT_GT(chain.stride().issued(), 0u);
+  EXPECT_GT(chain.stream().issued(), 0u);
+  chain.reset();
+  EXPECT_EQ(chain.stride().issued(), 0u);
+  EXPECT_EQ(chain.stream().issued(), 0u);
+  out.clear();
+  chain.observe(PrefetchObservation{.addr = 1 << 20, .site = 1, .was_miss = true},
+                out);
+  EXPECT_TRUE(out.empty());  // back to training from scratch
 }
 
 }  // namespace
